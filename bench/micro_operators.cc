@@ -169,14 +169,16 @@ void BM_VertexStoreOverlay(benchmark::State& state) {
   int attr = vs.RegisterAttribute("rank", 1);
   Rng rng(1);
   for (Timestamp t = 0; t < 20; ++t) {
-    std::vector<VertexStore::AfterImage> records;
+    std::vector<VertexId> vids;
     for (int i = 0; i < 500; ++i) {
-      records.push_back({static_cast<VertexId>(rng.Uniform(n)),
-                         {rng.NextDouble()}});
+      vids.push_back(static_cast<VertexId>(rng.Uniform(n)));
     }
-    std::sort(records.begin(), records.end(),
-              [](const auto& a, const auto& b) { return a.vid < b.vid; });
-    (void)vs.WriteDelta(t, 0, attr, records);
+    std::sort(vids.begin(), vids.end());
+    std::vector<double> values;
+    for (size_t i = 0; i < vids.size(); ++i) {
+      values.push_back(rng.NextDouble());
+    }
+    (void)vs.WriteDelta(t, 0, attr, vids, values);
   }
   BufferPool pool(pages->get(), 64);
   std::vector<double> column(static_cast<size_t>(n));

@@ -404,7 +404,9 @@ std::string CompiledProgram::ExplainAnalyze(
      << gsa::ExplainAnalyze(*incremental_plan, profile)
      << "=== Initialize plan ===\n"
      << gsa::ExplainAnalyze(*init, profile) << "=== Update plan ===\n"
-     << gsa::ExplainAnalyze(*update, profile);
+     << gsa::ExplainAnalyze(*update, profile)
+     << "=== Superstep timeline ===\n"
+     << gsa::FormatSuperstepTimeline(profile);
   return os.str();
 }
 

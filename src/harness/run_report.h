@@ -169,7 +169,7 @@ struct AlertsSection {
 /// Machine-readable run report (the `--metrics-json=<path>` output of the
 /// bench and harness binaries).
 ///
-/// Schema (version 9, validated by tools/trace_summary.py and diffed by
+/// Schema (version 10, validated by tools/trace_summary.py and diffed by
 /// tools/report_diff.py; readers accept REPORT_SCHEMA_MIN..MAX):
 /// ```json
 /// {
@@ -192,7 +192,10 @@ struct AlertsSection {
 ///         "pruned": 0, "windows": 0, "edges": 0, "evals": 0,
 ///         "wall_nanos": 0}, ...],
 ///      "supersteps_profile": [  // v2, the per-superstep timeline
-///        {"superstep": 0, "incremental": false, "active_vertices": 0,
+///        {"superstep": 0, "incremental": false,
+///         "mode": "oneshot",    // v10, "oneshot" | "delta" | "recompute"
+///         "delta_cost": 0, "recompute_cost": 0,  // v10, level-1 estimates
+///         "active_vertices": 0,
 ///         "frontier": 0, "emissions": 0, "windows": 0, "edges": 0,
 ///         "wall_nanos": 0, "cpu_nanos": 0, "state_digest": 0,  // v4
 ///         "shuffle_bytes": [..]}, ...]},

@@ -110,12 +110,21 @@ Status EdgeDeltaStore::GetDeltaAdjacency(
 }
 
 Status EdgeDeltaStore::DeltaSources(Timestamp t, Direction d,
-                                    std::vector<VertexId>* out) const {
+                                    std::vector<VertexId>* out,
+                                    std::vector<int64_t>* counts) const {
   out->clear();
+  if (counts != nullptr) counts->clear();
   const auto& segments = (d == Direction::kOut) ? out_segments_ : in_segments_;
   auto it = segments.find(t);
   if (it == segments.end()) return Status::OK();
-  *out = it->second.srcs;
+  const Segment& seg = it->second;
+  *out = seg.srcs;
+  if (counts != nullptr) {
+    counts->reserve(seg.srcs.size());
+    for (size_t i = 0; i < seg.srcs.size(); ++i) {
+      counts->push_back(seg.ranges[i + 1] - seg.ranges[i]);
+    }
+  }
   return Status::OK();
 }
 

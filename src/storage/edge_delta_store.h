@@ -49,9 +49,11 @@ class EdgeDeltaStore {
       BufferPool* pool, Timestamp t, VertexId u, Direction d,
       std::vector<std::pair<VertexId, Multiplicity>>* out) const;
 
-  /// The distinct traversal origins of timestamp t's deltas.
-  Status DeltaSources(Timestamp t, Direction d,
-                      std::vector<VertexId>* out) const;
+  /// The distinct traversal origins of timestamp t's deltas, and (when
+  /// `counts` is non-null) each origin's number of delta entries — read
+  /// from the in-memory source index, no page IO.
+  Status DeltaSources(Timestamp t, Direction d, std::vector<VertexId>* out,
+                      std::vector<int64_t>* counts = nullptr) const;
 
   /// Number of mutation operations at timestamp t.
   size_t BatchSize(Timestamp t) const;

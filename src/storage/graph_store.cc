@@ -57,11 +57,31 @@ StatusOr<Timestamp> DynamicGraphStore::ApplyMutations(
   Timestamp t = latest_ + 1;
   ITG_RETURN_IF_ERROR(delta_store_->ApplyBatch(t, batch));
 
-  // New view = copy of latest view + batch (last operation wins).
-  // Degree bookkeeping assumes the workload invariant that insertions
-  // target absent edges and deletions target present ones, so each
-  // operation shifts the merged degree by exactly its multiplicity.
-  View view = views_.at(latest_);
+  // New view = view of t-1 + batch (last operation wins). Only the views
+  // of t-1 and t-2 are retained, and t-2's is about to be dropped, so it
+  // is advanced in place by replaying batches t-1 and t onto it: O(batch)
+  // work instead of a copy of the whole cumulative overlay. Degree
+  // bookkeeping assumes the workload invariant that insertions target
+  // absent edges and deletions target present ones, so each operation
+  // shifts the merged degree by exactly its multiplicity.
+  View view;
+  if (views_.size() >= 2) {
+    view = std::move(views_.begin()->second);
+    views_.erase(views_.begin());
+    ApplyToView(last_batch_, &view);
+  } else {
+    view = views_.at(latest_);
+  }
+  ApplyToView(batch, &view);
+  last_batch_ = batch;
+
+  views_[t] = std::move(view);
+  latest_ = t;
+  return t;
+}
+
+void DynamicGraphStore::ApplyToView(const std::vector<EdgeDelta>& batch,
+                                    View* view) {
   auto apply = [](std::unordered_map<VertexId, OverlayList>& adj,
                   std::unordered_map<VertexId, int64_t>& degree_delta,
                   VertexId src, VertexId dst, Multiplicity m) {
@@ -77,16 +97,10 @@ StatusOr<Timestamp> DynamicGraphStore::ApplyMutations(
     degree_delta[src] += m;
   };
   for (const EdgeDelta& d : batch) {
-    apply(view.out, view.out_degree_delta, d.edge.src, d.edge.dst, d.mult);
-    apply(view.in, view.in_degree_delta, d.edge.dst, d.edge.src, d.mult);
-    view.num_edges += (d.mult > 0) ? 1 : -1;
+    apply(view->out, view->out_degree_delta, d.edge.src, d.edge.dst, d.mult);
+    apply(view->in, view->in_degree_delta, d.edge.dst, d.edge.src, d.mult);
+    view->num_edges += (d.mult > 0) ? 1 : -1;
   }
-
-  views_[t] = std::move(view);
-  latest_ = t;
-  // Keep only the latest and previous views.
-  while (views_.size() > 2) views_.erase(views_.begin());
-  return t;
 }
 
 const DynamicGraphStore::View* DynamicGraphStore::ViewAt(Timestamp t) const {
@@ -144,15 +158,17 @@ Status DynamicGraphStore::GetAdjacency(BufferPool* pool, VertexId u,
   return Status::OK();
 }
 
-int64_t DynamicGraphStore::Degree(VertexId u, Timestamp t, Direction d) const {
+void DynamicGraphStore::Degrees(Timestamp t, Direction d,
+                                std::vector<int64_t>* out) const {
   const auto& offsets = (d == Direction::kOut) ? out_offsets_ : in_offsets_;
-  int64_t degree = offsets[u + 1] - offsets[u];
+  out->resize(static_cast<size_t>(num_vertices_));
+  for (VertexId u = 0; u < num_vertices_; ++u) {
+    (*out)[static_cast<size_t>(u)] = offsets[u + 1] - offsets[u];
+  }
   const View* view = ViewAt(t);
   const auto& deltas =
       (d == Direction::kOut) ? view->out_degree_delta : view->in_degree_delta;
-  auto it = deltas.find(u);
-  if (it != deltas.end()) degree += it->second;
-  return degree;
+  for (const auto& [u, delta] : deltas) (*out)[static_cast<size_t>(u)] += delta;
 }
 
 StatusOr<bool> DynamicGraphStore::HasEdge(BufferPool* pool, VertexId u,

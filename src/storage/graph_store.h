@@ -58,8 +58,10 @@ class DynamicGraphStore {
   Status GetAdjacency(BufferPool* pool, VertexId u, Timestamp t, Direction d,
                       std::vector<VertexId>* out) const;
 
-  /// Degree of `u` at snapshot `t` (merged view).
-  int64_t Degree(VertexId u, Timestamp t, Direction d) const;
+  /// Degrees of every vertex at snapshot `t` (merged view): `out` is
+  /// resized to num_vertices. One pass over the base offsets plus the
+  /// view's degree deltas.
+  void Degrees(Timestamp t, Direction d, std::vector<int64_t>* out) const;
 
   /// True if edge (u→v for kOut) exists at snapshot `t`.
   StatusOr<bool> HasEdge(BufferPool* pool, VertexId u, VertexId v,
@@ -85,10 +87,11 @@ class DynamicGraphStore {
     return delta_store_->GetDeltaAdjacency(pool, t, u, d, out);
   }
 
-  /// Distinct traversal origins of snapshot t's delta batch.
-  Status DeltaSources(Timestamp t, Direction d,
-                      std::vector<VertexId>* out) const {
-    return delta_store_->DeltaSources(t, d, out);
+  /// Distinct traversal origins of snapshot t's delta batch; `counts`,
+  /// when non-null, receives each origin's number of delta entries.
+  Status DeltaSources(Timestamp t, Direction d, std::vector<VertexId>* out,
+                      std::vector<int64_t>* counts = nullptr) const {
+    return delta_store_->DeltaSources(t, d, out, counts);
   }
 
   size_t BatchSize(Timestamp t) const { return delta_store_->BatchSize(t); }
@@ -118,6 +121,8 @@ class DynamicGraphStore {
   DynamicGraphStore() = default;
 
   const View* ViewAt(Timestamp t) const;
+  /// Applies `batch` onto `view` (last operation per edge wins).
+  static void ApplyToView(const std::vector<EdgeDelta>& batch, View* view);
   Status ReadBaseAdjacency(BufferPool* pool, VertexId u, Direction d,
                            std::vector<VertexId>* out) const;
 
@@ -139,6 +144,9 @@ class DynamicGraphStore {
 
   // Overlay views for the latest and previous snapshots (older dropped).
   std::map<Timestamp, View> views_;
+  // The latest snapshot's batch: replayed onto the evicted view when the
+  // next snapshot is built.
+  std::vector<EdgeDelta> last_batch_;
 };
 
 }  // namespace itg

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -16,21 +16,29 @@ int VertexStore::RegisterAttribute(std::string name, int width) {
 }
 
 Status VertexStore::WriteDelta(Timestamp t, Superstep s, int attr,
-                               const std::vector<AfterImage>& records) {
-  if (records.empty()) return Status::OK();
-  const int width = attrs_[attr].width;
-  DiskArrayBuilder<int64_t> builder(store_);
-  for (const AfterImage& rec : records) {
-    ITG_CHECK_EQ(static_cast<int>(rec.values.size()), width);
-    ITG_RETURN_IF_ERROR(builder.Append(rec.vid));
-    for (double v : rec.values) {
-      ITG_RETURN_IF_ERROR(builder.Append(std::bit_cast<int64_t>(v)));
-    }
+                               const std::vector<VertexId>& vids,
+                               const std::vector<double>& values) {
+  if (vids.empty()) return Status::OK();
+  const size_t width = static_cast<size_t>(attrs_[attr].width);
+  ITG_CHECK_EQ(values.size(), vids.size() * width);
+  record_buf_.resize(vids.size() * (1 + width));
+  int64_t* out = record_buf_.data();
+  for (size_t r = 0; r < vids.size(); ++r) {
+    *out++ = vids[r];
+    std::memcpy(out, &values[r * width], sizeof(double) * width);
+    out += width;
   }
-  ITG_ASSIGN_OR_RETURN(auto array, builder.Finish());
-  chains_[{attr, s}].push_back({t, std::move(array), records.size()});
+  ITG_ASSIGN_OR_RETURN(auto array, WriteRecords());
+  chains_[{attr, s}].push_back({t, std::move(array), vids.size()});
   max_superstep_ = std::max(max_superstep_, s);
   return Status::OK();
+}
+
+StatusOr<DiskArray<int64_t>> VertexStore::WriteRecords() {
+  DiskArrayBuilder<int64_t> builder(store_);
+  ITG_RETURN_IF_ERROR(builder.AppendRange(record_buf_.data(),
+                                          record_buf_.size()));
+  return builder.Finish();
 }
 
 Status VertexStore::OverlaySuperstep(BufferPool* pool, Timestamp t,
@@ -122,9 +130,12 @@ Status VertexStore::MaintainAfterSnapshot(Timestamp t, BufferPool* pool) {
 
 Status VertexStore::MergeChain(std::vector<DeltaFile>* chain, int width,
                                BufferPool* pool) {
-  const size_t record_width = 1 + static_cast<size_t>(width);
-  // Last-writer-wins union of the chain, in snapshot order.
-  std::map<VertexId, std::vector<double>> merged;
+  const size_t w = static_cast<size_t>(width);
+  const size_t record_width = 1 + w;
+  const size_t n = static_cast<size_t>(num_vertices_);
+  merge_values_.resize(n * w);
+  merge_present_.assign((n + 63) / 64, 0);
+  // Last-writer-wins overlay of the chain, in snapshot order.
   std::vector<int64_t> buf;
   Timestamp last_t = 0;
   for (const DeltaFile& file : *chain) {
@@ -132,24 +143,29 @@ Status VertexStore::MergeChain(std::vector<DeltaFile>* chain, int width,
     ITG_RETURN_IF_ERROR(file.data.Read(pool, 0, buf.size(), buf.data()));
     for (size_t r = 0; r < file.num_records; ++r) {
       const int64_t* rec = buf.data() + r * record_width;
-      std::vector<double> values(width);
-      for (int w = 0; w < width; ++w) {
-        values[w] = std::bit_cast<double>(rec[1 + w]);
-      }
-      merged[rec[0]] = std::move(values);
+      const size_t vid = static_cast<size_t>(rec[0]);
+      merge_present_[vid / 64] |= uint64_t{1} << (vid % 64);
+      std::memcpy(&merge_values_[vid * w], rec + 1, sizeof(double) * w);
     }
     last_t = std::max(last_t, file.t);
   }
-  DiskArrayBuilder<int64_t> builder(store_);
-  for (const auto& [vid, values] : merged) {
-    ITG_RETURN_IF_ERROR(builder.Append(vid));
-    for (double v : values) {
-      ITG_RETURN_IF_ERROR(builder.Append(std::bit_cast<int64_t>(v)));
+  // Emit the present vertices in vid order.
+  record_buf_.clear();
+  for (size_t word = 0; word < merge_present_.size(); ++word) {
+    for (uint64_t bits = merge_present_[word]; bits != 0; bits &= bits - 1) {
+      const size_t vid =
+          word * 64 + static_cast<size_t>(std::countr_zero(bits));
+      record_buf_.push_back(static_cast<int64_t>(vid));
+      const size_t at = record_buf_.size();
+      record_buf_.resize(at + w);
+      std::memcpy(&record_buf_[at], &merge_values_[vid * w],
+                  sizeof(double) * w);
     }
   }
-  ITG_ASSIGN_OR_RETURN(auto array, builder.Finish());
+  const size_t merged = record_buf_.size() / record_width;
+  ITG_ASSIGN_OR_RETURN(auto array, WriteRecords());
   chain->clear();
-  chain->push_back({last_t, std::move(array), merged.size()});
+  chain->push_back({last_t, std::move(array), merged});
   return Status::OK();
 }
 

@@ -52,15 +52,12 @@ class VertexStore {
     return attrs_[attr].name;
   }
 
-  /// One after-image record: a vertex and its `width` values.
-  struct AfterImage {
-    VertexId vid;
-    std::vector<double> values;
-  };
-
-  /// Writes delta file F(t, s) for `attr`. Records must be sorted by vid.
+  /// Writes delta file F(t, s) for `attr`: one after-image record per
+  /// entry of `vids` (sorted ascending), whose `width` values are the
+  /// matching slice of `values` (vids.size() × width doubles, same order).
   Status WriteDelta(Timestamp t, Superstep s, int attr,
-                    const std::vector<AfterImage>& records);
+                    const std::vector<VertexId>& vids,
+                    const std::vector<double>& values);
 
   /// Overlays all delta files F(τ≤t, s) for `attr` onto `column`
   /// (num_vertices × width doubles), in snapshot order. When `changed` is
@@ -97,8 +94,13 @@ class VertexStore {
 
   using ChainKey = std::pair<int, Superstep>;  // (attr, superstep)
 
+  /// Rewrites `chain` as one file: the last-writer-wins union of its
+  /// records, in vid order.
   Status MergeChain(std::vector<DeltaFile>* chain, int width,
                     BufferPool* pool);
+  /// Writes the packed (vid, width values) records of record_buf_ as one
+  /// DiskArray.
+  StatusOr<DiskArray<int64_t>> WriteRecords();
 
   PageStore* store_;
   VertexId num_vertices_;
@@ -107,6 +109,13 @@ class VertexStore {
   Superstep max_superstep_ = -1;
   std::vector<AttrInfo> attrs_;
   std::map<ChainKey, std::vector<DeltaFile>> chains_;
+
+  // Scratch reused across writes and merges: the records of the file
+  // being written, and MergeChain's dense num_vertices × width overlay
+  // plus its presence bitmap (one bit per vertex).
+  std::vector<int64_t> record_buf_;
+  std::vector<double> merge_values_;
+  std::vector<uint64_t> merge_present_;
 };
 
 }  // namespace itg

@@ -86,6 +86,10 @@ Pipeline MakeWcc(const std::string& tag, VertexId n,
   p.store = std::move(store_or).value();
   EngineOptions opts;
   opts.min_counting = min_counting;
+  // These tests check Δ-path mechanisms (support counting, recompute
+  // marking); on their tiny graphs a superstep may legitimately prefer
+  // a from-scratch walk, which would bypass what they measure.
+  opts.superstep_recompute = false;
   p.engine = std::make_unique<Engine>(p.store.get(), p.program.get(), opts);
   return p;
 }

@@ -42,6 +42,9 @@ struct Fingerprint {
   /// End-of-run state digest per run (order-independent column hash).
   std::vector<uint64_t> digests;
   uint64_t emissions = 0;
+  /// Incremental supersteps that chose the recompute path (the choice
+  /// itself is part of profile_work; this makes sure it was exercised).
+  uint64_t recompute_supersteps = 0;
 
   bool operator==(const Fingerprint& other) const {
     return bits == other.bits && profile_work == other.profile_work &&
@@ -65,6 +68,12 @@ void Capture(const Engine& engine, const CompiledProgram& program,
   }
   fp->emissions += engine.last_stats().emissions_applied;
   fp->digests.push_back(engine.last_stats().state_digest);
+  for (const gsa::SuperstepProfile& row :
+       engine.last_profile().supersteps()) {
+    if (row.mode == gsa::SuperstepMode::kRecompute) {
+      ++fp->recompute_supersteps;
+    }
+  }
   // The flattened deterministic profile (per-operator counters and
   // superstep timeline, excluding measured wall/cpu time). A length
   // marker separates runs so rows cannot alias across run boundaries.
@@ -145,10 +154,12 @@ Fingerprint RunPipeline(const std::string& source, bool symmetric,
   return fp;
 }
 
-void ExpectIdenticalAcrossThreadCounts(const std::string& source,
-                                       bool symmetric, double insert_ratio,
-                                       int fixed_supersteps,
-                                       const std::string& tag) {
+/// Returns the threads=1 fingerprint.
+Fingerprint ExpectIdenticalAcrossThreadCounts(const std::string& source,
+                                              bool symmetric,
+                                              double insert_ratio,
+                                              int fixed_supersteps,
+                                              const std::string& tag) {
   Fingerprint base =
       RunPipeline(source, symmetric, insert_ratio, fixed_supersteps, 1, tag);
   EXPECT_FALSE(base.bits.empty());
@@ -157,13 +168,16 @@ void ExpectIdenticalAcrossThreadCounts(const std::string& source,
                                  fixed_supersteps, threads, tag);
     EXPECT_TRUE(fp == base) << tag << " diverged at threads=" << threads;
   }
+  return base;
 }
 
 TEST(ParallelDeterminismTest, PageRank) {
   // Abelian SUM accumulation: the FP-order-sensitive case the replay
-  // design exists for.
-  ExpectIdenticalAcrossThreadCounts(PageRankProgram(), /*symmetric=*/false,
-                                    0.75, 10, "pr");
+  // design exists for. Its later supersteps change most ranks, so the
+  // per-superstep recompute choice is made (identically) too.
+  Fingerprint base = ExpectIdenticalAcrossThreadCounts(
+      PageRankProgram(), /*symmetric=*/false, 0.75, 10, "pr");
+  EXPECT_GT(base.recompute_supersteps, 0u);
 }
 
 TEST(ParallelDeterminismTest, WccWithDeletions) {

@@ -189,7 +189,9 @@ TEST_F(GraphStoreTest, BaseSnapshotReads) {
   EXPECT_EQ(Adjacency(0, 0), (std::vector<VertexId>{1, 2}));
   EXPECT_EQ(Adjacency(2, 0), (std::vector<VertexId>{0}));
   EXPECT_EQ(Adjacency(0, 0, Direction::kIn), (std::vector<VertexId>{2}));
-  EXPECT_EQ(store_->Degree(0, 0, Direction::kOut), 2);
+  std::vector<int64_t> degrees;
+  store_->Degrees(0, Direction::kOut, &degrees);
+  EXPECT_EQ(degrees[0], 2);
   EXPECT_EQ(store_->num_edges(0), 4u);
 }
 
@@ -197,7 +199,9 @@ TEST_F(GraphStoreTest, MutationsMergeIntoViews) {
   ASSERT_TRUE(store_->ApplyMutations({{{0, 3}, +1}, {{0, 1}, -1}}).ok());
   // New view.
   EXPECT_EQ(Adjacency(0, 1), (std::vector<VertexId>{2, 3}));
-  EXPECT_EQ(store_->Degree(0, 1, Direction::kOut), 2);
+  std::vector<int64_t> degrees;
+  store_->Degrees(1, Direction::kOut, &degrees);
+  EXPECT_EQ(degrees[0], 2);
   EXPECT_EQ(Adjacency(3, 1, Direction::kIn), (std::vector<VertexId>{0}));
   // Previous view unchanged.
   EXPECT_EQ(Adjacency(0, 0), (std::vector<VertexId>{1, 2}));

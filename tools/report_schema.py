@@ -30,9 +30,13 @@ Version history:
      plus one {"name","severity","state","fires","flaps","last_value",
      "expr"} row per rule, states final at drain time; report_diff.py
      fails gated runs whose candidate still has a critical rule firing
+  10 supersteps_profile rows gain "mode" ("oneshot" / "delta" /
+     "recompute": the incremental engine's per-superstep choice) and the
+     two level-1 edge-scan estimates it compared, "delta_cost" and
+     "recompute_cost"
 """
 
 MIN_SCHEMA = 1
-MAX_SCHEMA = 9
+MAX_SCHEMA = 10
 
 SCHEMA_RANGE = range(MIN_SCHEMA, MAX_SCHEMA + 1)

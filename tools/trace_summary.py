@@ -275,6 +275,12 @@ def validate_run_profile(run, where):
         for field in SUPERSTEP_UINT_FIELDS:
             expect(is_uint(ss.get(field)),
                    f"{sw}.{field} is not a non-negative integer")
+        if "mode" in ss:  # v10: the per-superstep recompute decision
+            expect(ss["mode"] in ("oneshot", "delta", "recompute"),
+                   f"{sw}.mode {ss['mode']!r} unknown")
+            for field in ("delta_cost", "recompute_cost"):
+                expect(is_uint(ss.get(field)),
+                       f"{sw}.{field} is not a non-negative integer")
         shuffle = ss.get("shuffle_bytes")
         expect(isinstance(shuffle, list) and all(is_uint(b) for b in shuffle),
                f"{sw}.shuffle_bytes malformed")
