@@ -28,15 +28,13 @@ inline const char* Basename(const char* path) {
 
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line) : level_(level) {
+  LogMessage(LogLevel level, const char* file, int line) {
     stream_ << "[" << Name(level) << " " << Basename(file) << ":" << line
             << "] ";
   }
   ~LogMessage() {
-    if (level_ >= MinLogLevel()) {
-      stream_ << "\n";
-      std::cerr << stream_.str();
-    }
+    stream_ << "\n";
+    std::cerr << stream_.str();
   }
 
   std::ostringstream& stream() { return stream_; }
@@ -51,7 +49,6 @@ class LogMessage {
     }
     return "?";
   }
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
@@ -73,10 +70,15 @@ class FatalMessage {
 
 }  // namespace internal_logging
 
+/// Streams one log line. Below MinLogLevel() the whole statement is
+/// skipped: no message is built and no streamed operand is evaluated.
+/// (The `if {} else` form keeps a caller's own `else` bound correctly.)
 #define ITG_LOG(level)                                                 \
-  ::itg::internal_logging::LogMessage(::itg::LogLevel::k##level,       \
-                                      __FILE__, __LINE__)              \
-      .stream()
+  if (::itg::LogLevel::k##level < ::itg::MinLogLevel()) {              \
+  } else                                                               \
+    ::itg::internal_logging::LogMessage(::itg::LogLevel::k##level,     \
+                                        __FILE__, __LINE__)            \
+        .stream()
 
 /// Always-on invariant check; aborts with a message on violation.
 #define ITG_CHECK(cond)                                              \

@@ -161,6 +161,18 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
       all_widths_.push_back(1);
     }
   }
+  for (int a = 0; a < n_attrs; ++a) {
+    if (program_->vertex_attrs[a].type.is_accumulator) continue;
+    non_accm_attrs_.push_back(a);
+    if (!IsVirtualAttr(program_->vertex_attrs[a].name)) {
+      attr_file_attrs_.push_back(a);
+    }
+  }
+  for (int a : accm_attrs_) {
+    accm_file_attrs_.push_back(a);
+    if (support_attr_[a] >= 0) accm_file_attrs_.push_back(support_attr_[a]);
+  }
+  accm_file_attrs_.push_back(contribs_attr_);
   // Register the same layout in the vertex store (indices align).
   VertexStore* vs = store_->vertex_store();
   if (vs->attribute_count() == 0) {
@@ -990,96 +1002,194 @@ void Engine::UnmarkRecompute(int attr, VertexId v) {
   if (!marks.empty()) marks[static_cast<size_t>(v)] = 0;
 }
 
-void Engine::RunUpdatePhase(ColumnSet* cols,
-                            std::vector<std::vector<double>>* globals,
-                            Timestamp t) {
+Engine::VertexBlocks Engine::PlanVertexBlocks() const {
+  const VertexId n = store_->num_vertices();
+  VertexBlocks blocks;
+  blocks.per = std::max<VertexId>(n, 1);
+  if (!update_parallel_safe_ || options_.num_partitions > 1 ||
+      num_threads_ <= 1) {
+    return blocks;
+  }
+  const VertexId shards = static_cast<VertexId>(num_threads_) * 8;
+  blocks.per = std::max<VertexId>(64, (n + shards - 1) / shards);
+  blocks.count = std::max<size_t>(
+      1, static_cast<size_t>((n + blocks.per - 1) / blocks.per));
+  return blocks;
+}
+
+size_t Engine::ForEachVertexBlock(
+    const VertexBlocks& blocks,
+    const std::function<void(size_t, VertexId, VertexId)>& fn) {
+  const VertexId n = store_->num_vertices();
+  if (blocks.count < 2) {
+    fn(0, 0, n);
+    return 0;
+  }
+  if (pool_threads_ == nullptr) {
+    pool_threads_ =
+        std::make_unique<ThreadPool>(num_threads_, store_->metrics());
+  }
+  pool_threads_->ParallelFor(blocks.count, [&](size_t block, int) {
+    const VertexId begin = static_cast<VertexId>(block) * blocks.per;
+    fn(block, begin, std::min(n, begin + blocks.per));
+  });
+  stats_.parallel_tasks += blocks.count;
+  return blocks.count;
+}
+
+void Engine::ResetRecords(BlockRecords* records, size_t blocks,
+                          size_t files) {
+  records->resize(blocks);
+  for (std::vector<DeltaRecords>& block : *records) {
+    block.resize(files);
+    for (DeltaRecords& file : block) {
+      file.vids.clear();
+      file.values.clear();
+    }
+  }
+}
+
+void Engine::RunUpdatePass(Timestamp t, const std::vector<uint8_t>* domain,
+                           const ColumnSet* prev, BlockRecords* records,
+                           VertexId corrupt_vertex) {
   TraceSpan span("update", "engine");
   Stopwatch update_watch;
-  // All vertices deactivate; Update re-activates (vertex-centric
-  // "vote-to-halt" semantics, §3).
-  auto& active = cols->Column(program_->active_attr);
-  std::fill(active.begin(), active.end(), 0.0);
-  const double* contribs = cols->Column(contribs_attr_).data();
+  ColumnSet& cols = cur_cols_;
+  const std::vector<int>& attrs = AttrFileAttrs();
+  const double* contribs = cols.Column(contribs_attr_).data();
+  const int corrupt_attr =
+      corrupt_vertex >= 0 ? AuditedAttrs().front() : -1;
+  size_t saved_width = 0;
+  for (int attr : attrs) saved_width += static_cast<size_t>(cols.width(attr));
   StmtContext ctx;
-  ctx.columns = cols;
-  ctx.globals = globals;
+  ctx.columns = &cols;
+  ctx.globals = &cur_globals_;
   ctx.num_vertices = static_cast<double>(store_->num_vertices());
   ctx.num_edges = static_cast<double>(store_->num_edges(t));
-  const int machines = std::max(1, options_.num_partitions);
-  const VertexId n = store_->num_vertices();
-  if (machines <= 1 && num_threads_ > 1 && update_parallel_safe_) {
-    // Vertex-sharded Update: each body writes only its own vertex's
-    // cells (global writes disable this path in the constructor), so
-    // shards are disjoint and the result is order-independent — the
-    // same bits as the sequential loop, no replay needed.
-    const VertexId per = std::max<VertexId>(
-        64, (n + static_cast<VertexId>(num_threads_) * 8 - 1) /
-                (static_cast<VertexId>(num_threads_) * 8));
-    const size_t num_tasks =
-        static_cast<size_t>((n + per - 1) / per);
-    if (num_tasks >= 2) {
-      if (pool_threads_ == nullptr) {
-        pool_threads_ =
-            std::make_unique<ThreadPool>(num_threads_, store_->metrics());
-      }
-      // Per-task work counters (bodies run / evals / assigns), summed in
-      // task-index order after the barrier — order-independent, so the
-      // totals match the sequential loop at any thread count.
-      struct UpdateTaskCounts {
-        uint64_t bodies = 0;
-        uint64_t evals = 0;
-        uint64_t assigns = 0;
-      };
-      std::vector<UpdateTaskCounts> task_counts(num_tasks);
-      pool_threads_->ParallelFor(num_tasks, [&](size_t task, int) {
+  const bool partitioned = options_.num_partitions > 1;
+  const VertexBlocks blocks = PlanVertexBlocks();
+  if (records != nullptr) ResetRecords(records, blocks.count, attrs.size());
+  // Per-block work counters (bodies run / evals / assigns), summed in
+  // block order afterwards — the same totals at any thread count.
+  struct UpdateCounts {
+    uint64_t bodies = 0;
+    uint64_t evals = 0;
+    uint64_t assigns = 0;
+  };
+  std::vector<UpdateCounts> counts(blocks.count);
+  const size_t tasks = ForEachVertexBlock(
+      blocks, [&](size_t block, VertexId begin, VertexId end) {
         StmtContext task_ctx = ctx;
-        UpdateTaskCounts& tc = task_counts[task];
-        if (update_cell_ != nullptr) {
-          task_ctx.eval_counter = &tc.evals;
-          task_ctx.assigns_applied = &tc.assigns;
-        }
-        const VertexId begin = static_cast<VertexId>(task) * per;
-        const VertexId end = std::min(n, begin + per);
+        UpdateCounts& c = counts[block];
+        task_ctx.eval_counter = &c.evals;
+        task_ctx.assigns_applied = &c.assigns;
+        std::vector<DeltaRecords>* out =
+            records != nullptr ? &(*records)[block] : nullptr;
+        std::vector<double> before(out != nullptr ? saved_width : 0);
         for (VertexId v = begin; v < end; ++v) {
-          if (contribs[v] <= 0.0) continue;  // Update runs for V_accm only
-          ++tc.bodies;
-          task_ctx.vertex = v;
-          RunStatements(*program_->update_body, &task_ctx);
+          const bool in_domain =
+              domain == nullptr || (*domain)[static_cast<size_t>(v)] != 0;
+          if (!in_domain && v != corrupt_vertex) {
+            // Outside the domain A_{t,s} equals A_{t-1,s}, so a cell moves
+            // (and is recorded) only where the overlay advanced `prev`.
+            for (size_t i = 0; i < attrs.size(); ++i) {
+              const int width = cols.width(attrs[i]);
+              const double* src = prev->Cell(attrs[i], v);
+              double* dst = cols.Cell(attrs[i], v);
+              if (std::equal(src, src + width, dst)) continue;
+              std::copy(src, src + width, dst);
+              if (out != nullptr) (*out)[i].Append(v, dst, width);
+            }
+            continue;
+          }
+          if (out != nullptr) {
+            double* saved = before.data();
+            for (int attr : attrs) {
+              const double* cell = cols.Cell(attr, v);
+              saved = std::copy(cell, cell + cols.width(attr), saved);
+            }
+          }
+          if (!in_domain) {
+            for (int attr : attrs) {
+              const double* src = prev->Cell(attr, v);
+              std::copy(src, src + cols.width(attr), cols.Cell(attr, v));
+            }
+          } else {
+            // All vertices deactivate; Update re-activates (vertex-centric
+            // "vote-to-halt" semantics, §3). It runs for V_accm only.
+            auto update = [&] {
+              cols.Cell(program_->active_attr, v)[0] = 0.0;
+              if (contribs[v] <= 0.0) return;
+              ++c.bodies;
+              task_ctx.vertex = v;
+              RunStatements(*program_->update_body, &task_ctx);
+            };
+            if (partitioned) {
+              // Sequential here; each machine is charged its own vertices.
+              Stopwatch watch;
+              update();
+              machine_stats_[static_cast<size_t>(OwnerOf(v))].seconds +=
+                  watch.ElapsedSeconds();
+            } else {
+              update();
+            }
+          }
+          if (v == corrupt_vertex) {
+            cols.Cell(corrupt_attr, v)[0] += options_.debug_corrupt_delta;
+          }
+          if (out == nullptr) continue;
+          const double* saved = before.data();
+          for (size_t i = 0; i < attrs.size(); ++i) {
+            const int width = cols.width(attrs[i]);
+            const double* cell = cols.Cell(attrs[i], v);
+            if (!std::equal(cell, cell + width, saved) ||
+                (prev != nullptr &&
+                 !std::equal(cell, cell + width, prev->Cell(attrs[i], v)))) {
+              (*out)[i].Append(v, cell, width);
+            }
+            saved += width;
+          }
         }
       });
-      stats_.parallel_tasks += num_tasks;
-      if (update_cell_ != nullptr) {
-        for (const UpdateTaskCounts& tc : task_counts) {
-          update_cell_->in_pos += tc.bodies;
-          update_cell_->evals += tc.evals;
-          update_cell_->out_pos += tc.assigns;
-        }
-        update_cell_->wall_nanos += update_watch.ElapsedNanos();
-      }
-      return;
-    }
-  }
+  stats_.update_tasks += tasks;
   if (update_cell_ != nullptr) {
-    ctx.eval_counter = &update_cell_->evals;
-    ctx.assigns_applied = &update_cell_->out_pos;
-  }
-  for (int m = 0; m < machines; ++m) {
-    Stopwatch watch;
-    for (VertexId v = 0; v < n; ++v) {
-      if (contribs[v] <= 0.0) continue;  // Update runs for V_accm only
-      if (machines > 1 && OwnerOf(v) != m) continue;
-      if (update_cell_ != nullptr) ++update_cell_->in_pos;
-      ctx.vertex = v;
-      RunStatements(*program_->update_body, &ctx);
+    for (const UpdateCounts& c : counts) {
+      update_cell_->in_pos += c.bodies;
+      update_cell_->evals += c.evals;
+      update_cell_->out_pos += c.assigns;
     }
-    if (machines > 1) {
-      machine_stats_[static_cast<size_t>(m)].seconds +=
-          watch.ElapsedSeconds();
-    }
-  }
-  if (update_cell_ != nullptr) {
     update_cell_->wall_nanos += update_watch.ElapsedNanos();
   }
+}
+
+void Engine::ClassifyDeltaDomain(std::vector<uint8_t>* domain,
+                                 BlockRecords* records) {
+  TraceSpan span("delta_domain", "engine");
+  const std::vector<int>& accm = AccmFileAttrs();
+  const std::vector<int>& attrs = NonAccmAttrs();
+  const VertexBlocks blocks = PlanVertexBlocks();
+  domain->resize(static_cast<size_t>(store_->num_vertices()));
+  if (records != nullptr) ResetRecords(records, blocks.count, accm.size());
+  ForEachVertexBlock(blocks, [&](size_t block, VertexId begin, VertexId end) {
+    std::vector<DeltaRecords>* out =
+        records != nullptr ? &(*records)[block] : nullptr;
+    for (VertexId v = begin; v < end; ++v) {
+      bool changed = false;
+      for (size_t i = 0; i < accm.size(); ++i) {
+        if (!ColumnSet::CellDiffers(cur_cols_, prev_cols_, accm[i], v)) {
+          continue;
+        }
+        changed = true;
+        if (out == nullptr) break;
+        (*out)[i].Append(v, cur_cols_.Cell(accm[i], v),
+                         cur_cols_.width(accm[i]));
+      }
+      for (size_t i = 0; i < attrs.size() && !changed; ++i) {
+        changed = ColumnSet::CellDiffers(cur_cols_, prev_cols_, attrs[i], v);
+      }
+      (*domain)[static_cast<size_t>(v)] = changed ? 1 : 0;
+    }
+  });
 }
 
 void Engine::CollectChanged(const ColumnSet& a, const ColumnSet& b,
@@ -1098,31 +1208,25 @@ void Engine::CollectChanged(const ColumnSet& a, const ColumnSet& b,
 
 Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
                                const std::vector<int>& attrs,
-                               const std::vector<VertexId>& candidates,
-                               const ColumnSet& values,
-                               const ColumnSet* reference_a,
-                               const ColumnSet* reference_b) {
+                               const BlockRecords& records) {
+  TraceSpan span("history_write", "engine", s);
   VertexStore* vs = store_->vertex_store();
-  const bool keep_all = reference_a == nullptr && reference_b == nullptr;
-  std::vector<VertexId> vids;
-  std::vector<double> values_out;
-  for (int attr : attrs) {
-    vids.clear();
-    values_out.clear();
-    const int width = values.width(attr);
-    for (VertexId v : candidates) {
-      const bool changed =
-          keep_all ||
-          (reference_a != nullptr &&
-           ColumnSet::CellDiffers(values, *reference_a, attr, v)) ||
-          (reference_b != nullptr &&
-           ColumnSet::CellDiffers(values, *reference_b, attr, v));
-      if (!changed) continue;
-      const double* cell = values.Cell(attr, v);
-      vids.push_back(v);
-      values_out.insert(values_out.end(), cell, cell + width);
+  DeltaRecords joined;
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    const DeltaRecords* file = &records.front()[i];
+    if (records.size() > 1) {
+      joined.vids.clear();
+      joined.values.clear();
+      for (const std::vector<DeltaRecords>& block : records) {
+        joined.vids.insert(joined.vids.end(), block[i].vids.begin(),
+                           block[i].vids.end());
+        joined.values.insert(joined.values.end(), block[i].values.begin(),
+                             block[i].values.end());
+      }
+      file = &joined;
     }
-    ITG_RETURN_IF_ERROR(vs->WriteDelta(t, s, attr, vids, values_out));
+    ITG_RETURN_IF_ERROR(vs->WriteDelta(t, s, attrs[i], file->vids,
+                                       file->values));
   }
   return Status::OK();
 }
@@ -1159,7 +1263,8 @@ Status Engine::RunOneShot(Timestamp t) {
   FillDegreeColumns(&cur_cols_, t);
   RunInitialize(&cur_cols_, &cur_globals_, t);
 
-  ColumnSet snapshot;
+  BlockRecords accm_records;
+  BlockRecords attr_records;
 
   PublishColumnMemory();
   Superstep s = 0;
@@ -1187,23 +1292,25 @@ Status Engine::RunOneShot(Timestamp t) {
 
     if (options_.record_history) {
       // Accumulator files: after-images of touched vertices (V_accm).
-      std::vector<VertexId> touched;
+      const std::vector<int>& accm = AccmFileAttrs();
+      ResetRecords(&accm_records, 1, accm.size());
       const double* contribs = cur_cols_.Column(contribs_attr_).data();
       for (VertexId v = 0; v < n; ++v) {
-        if (contribs[v] > 0.0) touched.push_back(v);
+        if (contribs[v] <= 0.0) continue;
+        for (size_t i = 0; i < accm.size(); ++i) {
+          accm_records[0][i].Append(v, cur_cols_.Cell(accm[i], v),
+                                    cur_cols_.width(accm[i]));
+        }
       }
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, AccmFileAttrs(), touched,
-                                          cur_cols_, nullptr, nullptr));
+      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, accm, accm_records));
     }
 
-    snapshot = cur_cols_;  // A_{t,s} before Update
-    RunUpdatePhase(&cur_cols_, &cur_globals_, t);
-
+    // Attribute files: cells Update changed from A_{t,s}.
+    RunUpdatePass(t, /*domain=*/nullptr, /*prev=*/nullptr,
+                  options_.record_history ? &attr_records : nullptr);
     if (options_.record_history) {
-      std::vector<VertexId> changed;
-      CollectChanged(cur_cols_, snapshot, NonAccmAttrs(), &changed);
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(), changed,
-                                          cur_cols_, &snapshot, nullptr));
+      ITG_RETURN_IF_ERROR(
+          WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
     }
     RecordSuperstep(s, gsa::SuperstepMode::kOneShot, SuperstepCost{},
                     active_size, active_size, ss_emissions0, ss_windows0,
@@ -1285,31 +1392,34 @@ Status Engine::RunIncremental(Timestamp t) {
     }
   };
 
-  // Materialize A_{t-1,0} and A_{t,0}: Initialize is deterministic given
-  // the snapshot (it may read degrees), so both sides run it directly.
-  prev_cols_.Init(n, all_widths_);
-  cur_cols_.Init(n, all_widths_);
-  InitGlobals(&prev_globals_);
-  // Global accumulators carry the previous run's totals forward; deltas
-  // are applied onto them. Other globals restart at their defaults.
-  std::vector<std::vector<double>> carried = cur_globals_;
-  InitGlobals(&cur_globals_);
-  for (size_t g = 0; g < program_->globals.size(); ++g) {
-    if (program_->globals[g].type.is_accumulator && g < carried.size()) {
-      cur_globals_[g] = carried[g];
-    }
-  }
-  degree_cache_.clear();
-  FillDegreeColumns(&prev_cols_, prev_t);
-  FillDegreeColumns(&cur_cols_, t);
-  RunInitialize(&prev_cols_, &prev_globals_, prev_t);
-  RunInitialize(&cur_cols_, &cur_globals_, t);
   const bool may_recompute = SuperstepRecomputeEligible();
-  if (may_recompute) ITG_RETURN_IF_ERROR(PrepareSuperstepCosts(t));
+  {
+    TraceSpan prepare_span("prepare", "engine", t);
+    // Materialize A_{t-1,0} and A_{t,0}: Initialize is deterministic given
+    // the snapshot (it may read degrees), so both sides run it directly.
+    prev_cols_.Init(n, all_widths_);
+    cur_cols_.Init(n, all_widths_);
+    InitGlobals(&prev_globals_);
+    // Global accumulators carry the previous run's totals forward; deltas
+    // are applied onto them. Other globals restart at their defaults.
+    std::vector<std::vector<double>> carried = cur_globals_;
+    InitGlobals(&cur_globals_);
+    for (size_t g = 0; g < program_->globals.size(); ++g) {
+      if (program_->globals[g].type.is_accumulator && g < carried.size()) {
+        cur_globals_[g] = carried[g];
+      }
+    }
+    degree_cache_.clear();
+    FillDegreeColumns(&prev_cols_, prev_t);
+    FillDegreeColumns(&cur_cols_, t);
+    RunInitialize(&prev_cols_, &prev_globals_, prev_t);
+    RunInitialize(&cur_cols_, &cur_globals_, t);
+    if (may_recompute) ITG_RETURN_IF_ERROR(PrepareSuperstepCosts(t));
+  }
 
   const Superstep s_prev_total = prev_supersteps_;
-  ColumnSet cur_snapshot;
-  std::vector<VertexId> scratch_changed;
+  BlockRecords accm_records;
+  BlockRecords attr_records;
 
   PublishColumnMemory();
   Superstep s = 0;
@@ -1389,126 +1499,46 @@ Status Engine::RunIncremental(Timestamp t) {
     ITG_LOG(Debug) << "  walk scans="
                    << enumerator_.edges_scanned() - delta_scans0;
 
-    // Persist accumulator deltas: cross-snapshot changes.
-    std::vector<VertexId> accm_changed;
-    CollectChanged(cur_cols_, prev_cols_, AccmFileAttrs(), &accm_changed);
-    if (options_.record_history) {
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, AccmFileAttrs(),
-                                          accm_changed, cur_cols_,
-                                          &prev_cols_, nullptr));
-    }
-
     // --- ΔUpdate ----------------------------------------------------------
     // Domain: any attribute or accumulator difference vs the previous
-    // snapshot at this superstep.
-    std::vector<VertexId> domain;
-    CollectChanged(cur_cols_, prev_cols_, NonAccmAttrs(), &domain);
-    {
-      std::vector<uint8_t> in_domain(static_cast<size_t>(n), 0);
-      for (VertexId v : domain) in_domain[static_cast<size_t>(v)] = 1;
-      for (VertexId v : accm_changed) {
-        if (!in_domain[static_cast<size_t>(v)]) {
-          in_domain[static_cast<size_t>(v)] = 1;
-          domain.push_back(v);
-        }
-      }
+    // snapshot at this superstep. The same pass collects the accumulator
+    // files' records (cross-snapshot changes).
+    ClassifyDeltaDomain(&delta_domain_,
+                        options_.record_history ? &accm_records : nullptr);
+    if (options_.record_history) {
+      ITG_RETURN_IF_ERROR(
+          WriteDeltaFiles(t, s, AccmFileAttrs(), accm_records));
     }
-    std::sort(domain.begin(), domain.end());
-
-    // Snapshot A_{t,s} (attrs) before advancing.
-    cur_snapshot = cur_cols_;
 
     // Advance prev to A_{t-1,s+1} by overlaying the stored chains.
-    scratch_changed.clear();
     overlay_watch.Restart();
     {
       TraceSpan overlay_span("overlay", "engine", s);
       for (int attr : AttrFileAttrs()) {
-        ITG_RETURN_IF_ERROR(
-            vs->OverlaySuperstep(pool, prev_t, s + 1, attr,
-                                 prev_cols_.Column(attr).data(),
-                                 &scratch_changed));
+        ITG_RETURN_IF_ERROR(vs->OverlaySuperstep(
+            pool, prev_t, s + 1, attr, prev_cols_.Column(attr).data()));
       }
     }
     charge_shared_seconds(overlay_watch.ElapsedSeconds());
-    std::sort(scratch_changed.begin(), scratch_changed.end());
-    scratch_changed.erase(
-        std::unique(scratch_changed.begin(), scratch_changed.end()),
-        scratch_changed.end());
 
-    // Advance cur: identical to prev everywhere outside the domain.
+    // Advance cur: identical to prev outside the domain, Update inside it.
     // Virtual attributes (degrees) stay snapshot-bound and are excluded.
-    for (int attr : AttrFileAttrs()) {
-      cur_cols_.Column(attr) = prev_cols_.Column(attr);
-    }
-    {
-      TraceSpan update_span("update", "engine",
-                            static_cast<int64_t>(domain.size()));
-      Stopwatch delta_update_watch;
-      StmtContext ctx;
-      ctx.columns = &cur_cols_;
-      ctx.globals = &cur_globals_;
-      ctx.num_vertices = static_cast<double>(n);
-      ctx.num_edges = static_cast<double>(store_->num_edges(t));
-      if (update_cell_ != nullptr) {
-        ctx.eval_counter = &update_cell_->evals;
-        ctx.assigns_applied = &update_cell_->out_pos;
-      }
-      const double* contribs = cur_cols_.Column(contribs_attr_).data();
-      const int machines = std::max(1, options_.num_partitions);
-      for (int m = 0; m < machines; ++m) {
-        Stopwatch watch;
-        for (VertexId v : domain) {
-          if (machines > 1 && OwnerOf(v) != m) continue;
-          // Restore this vertex's A_{t,s} values, deactivate, then Update
-          // if it was touched (V_accm membership at snapshot t).
-          for (int attr : AttrFileAttrs()) {
-            const double* src = cur_snapshot.Cell(attr, v);
-            double* dst = cur_cols_.Cell(attr, v);
-            std::copy(src, src + cur_cols_.width(attr), dst);
-          }
-          cur_cols_.Cell(program_->active_attr, v)[0] = 0.0;
-          if (contribs[v] > 0.0) {
-            if (update_cell_ != nullptr) ++update_cell_->in_pos;
-            ctx.vertex = v;
-            RunStatements(*program_->update_body, &ctx);
-          }
-        }
-        if (machines > 1) {
-          machine_stats_[static_cast<size_t>(m)].seconds +=
-              watch.ElapsedSeconds();
-        }
-      }
-      if (update_cell_ != nullptr) {
-        update_cell_->wall_nanos += delta_update_watch.ElapsedNanos();
-      }
-    }
-
     // Drift-injection test hook (audit_smoke): corrupt one audited cell
-    // after ΔUpdate and put the vertex in the candidate domain so the
-    // corrupted after-image persists into the delta files — the same
-    // footprint as real silent state corruption.
-    if (t == options_.debug_corrupt_timestamp && s == 0 &&
-        options_.debug_corrupt_vertex >= 0 &&
-        options_.debug_corrupt_vertex < n && !AuditedAttrs().empty()) {
-      cur_cols_.Cell(AuditedAttrs().front(),
-                     options_.debug_corrupt_vertex)[0] +=
-          options_.debug_corrupt_delta;
-      domain.push_back(options_.debug_corrupt_vertex);
-    }
-
+    // after ΔUpdate and record it, so the corrupted after-image persists
+    // into the delta files — the same footprint as real silent state
+    // corruption.
+    const bool corrupt = t == options_.debug_corrupt_timestamp && s == 0 &&
+                         options_.debug_corrupt_vertex >= 0 &&
+                         options_.debug_corrupt_vertex < n &&
+                         !AuditedAttrs().empty();
+    RunUpdatePass(t, &delta_domain_, &prev_cols_,
+                  options_.record_history ? &attr_records : nullptr,
+                  corrupt ? options_.debug_corrupt_vertex : -1);
     if (options_.record_history) {
       // File condition (§5.5): changed vs previous superstep OR vs the
       // previous snapshot at this superstep.
-      std::vector<VertexId> candidates = domain;
-      candidates.insert(candidates.end(), scratch_changed.begin(),
-                        scratch_changed.end());
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(),
-                                          candidates, cur_cols_,
-                                          &prev_cols_, &cur_snapshot));
+      ITG_RETURN_IF_ERROR(
+          WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
     }
     RecordSuperstep(s, mode, cost, cur_active.size(),
                     changed_starts.size(), ss_emissions0, ss_windows0,
@@ -2106,29 +2136,6 @@ void Engine::InitGlobals(std::vector<std::vector<double>>* globals) {
   }
 }
 
-const std::vector<int>& Engine::NonAccmAttrs() const {
-  if (non_accm_attrs_.empty()) {
-    for (int a = 0; a < num_program_attrs(); ++a) {
-      if (!program_->vertex_attrs[a].type.is_accumulator) {
-        non_accm_attrs_.push_back(a);
-      }
-    }
-  }
-  return non_accm_attrs_;
-}
-
-const std::vector<int>& Engine::AttrFileAttrs() const {
-  if (attr_file_attrs_.empty()) {
-    for (int a = 0; a < num_program_attrs(); ++a) {
-      if (!program_->vertex_attrs[a].type.is_accumulator &&
-          !IsVirtualAttr(program_->vertex_attrs[a].name)) {
-        attr_file_attrs_.push_back(a);
-      }
-    }
-  }
-  return attr_file_attrs_;
-}
-
 // ---------------------------------------------------------------------------
 // Correctness observability (state digests, lineage reports)
 // ---------------------------------------------------------------------------
@@ -2184,17 +2191,6 @@ std::string Engine::ExplainLineage(VertexId v) const {
   }
   out += lineage_->Explain(v);
   return out;
-}
-
-const std::vector<int>& Engine::AccmFileAttrs() const {
-  if (accm_file_attrs_.empty()) {
-    for (int a : accm_attrs_) {
-      accm_file_attrs_.push_back(a);
-      if (support_attr_[a] >= 0) accm_file_attrs_.push_back(support_attr_[a]);
-    }
-    accm_file_attrs_.push_back(contribs_attr_);
-  }
-  return accm_file_attrs_;
 }
 
 }  // namespace itg

@@ -122,6 +122,9 @@ struct RunStats {
   int threads = 1;
   /// Walk-shard tasks executed through the thread pool.
   uint64_t parallel_tasks = 0;
+  /// Vertex-block tasks of the Update / ΔUpdate passes executed through
+  /// the thread pool (0 on the sequential path).
+  uint64_t update_tasks = 0;
   /// Tasks claimed from another worker's queue (imbalance indicator).
   uint64_t steals = 0;
   /// Sum over workers of time spent inside pool tasks.
@@ -341,23 +344,70 @@ class Engine {
   /// the metrics registry and GlobalLiveStatus. Observation-only.
   void PublishStateDigest(Timestamp t);
 
-  /// Runs Update for every touched vertex of `cols` in place (clears all
-  /// activations first; Update re-activates).
-  void RunUpdatePhase(ColumnSet* cols,
-                      std::vector<std::vector<double>>* globals, Timestamp t);
+  /// After-image records of one attribute's delta file, in vid order.
+  struct DeltaRecords {
+    std::vector<VertexId> vids;
+    std::vector<double> values;
+    void Append(VertexId v, const double* cell, int width) {
+      vids.push_back(v);
+      values.insert(values.end(), cell, cell + width);
+    }
+  };
+  /// Per-block record buffers: [block][index into an attribute list].
+  using BlockRecords = std::vector<std::vector<DeltaRecords>>;
+
+  /// Vertex blocks of a sharded pass over [0, n): `count` blocks of `per`
+  /// vertices (the last may be short). One block covers everything on the
+  /// sequential path.
+  struct VertexBlocks {
+    VertexId per = 0;
+    size_t count = 1;
+  };
+  /// Blocks for the Update passes over all vertices: ~8 per worker when
+  /// Update may run vertex-sharded — its bodies write only their own
+  /// vertex's cells (no global assignment) and the run is not
+  /// partitioned — else one.
+  VertexBlocks PlanVertexBlocks() const;
+  /// Runs `fn(block, begin, end)` for every block — on the pool when there
+  /// are at least two, else inline — and returns the pool tasks run.
+  /// Blocks are disjoint vid ranges, so per-block outputs concatenated in
+  /// block order are in vid order.
+  size_t ForEachVertexBlock(
+      const VertexBlocks& blocks,
+      const std::function<void(size_t, VertexId, VertexId)>& fn);
+  /// Sizes `records` to `blocks` × `files` empty buffers (keeps capacity).
+  static void ResetRecords(BlockRecords* records, size_t blocks,
+                           size_t files);
+
+  /// The Update phase, in place on cur_cols_, for one-shot and
+  /// incremental supersteps alike. Vertices outside `domain` (when given)
+  /// take their attribute cells from `prev` (A_{t-1,s+1}); the others
+  /// deactivate and run Update if touched. When `records` is given, each
+  /// block collects the after-images of the attribute-file cells that
+  /// differ from their value before the pass or from `prev` — the §5.5
+  /// file condition. `corrupt_vertex` (>= 0) is the drift-injection test
+  /// hook: that vertex's first audited cell is shifted before recording.
+  void RunUpdatePass(Timestamp t, const std::vector<uint8_t>* domain,
+                     const ColumnSet* prev, BlockRecords* records,
+                     VertexId corrupt_vertex = -1);
+
+  /// One pass over cur_cols_ vs prev_cols_ at an incremental superstep:
+  /// marks the ΔUpdate domain (any accumulator-file or non-accumulator
+  /// cell differs) in `domain`, and, when `records` is given, collects
+  /// the differing accumulator-file after-images.
+  void ClassifyDeltaDomain(std::vector<uint8_t>* domain,
+                           BlockRecords* records);
 
   /// Vertices where any of `attrs` differs between two column sets.
   void CollectChanged(const ColumnSet& a, const ColumnSet& b,
                       const std::vector<int>& attrs,
                       std::vector<VertexId>* out) const;
 
-  /// Writes F(t, s) files for `attrs`: after-images of candidate vertices
-  /// whose value differs from either reference (both null = keep all).
+  /// Writes one F(t, s) file per attribute of `attrs` from per-block
+  /// records (concatenated in block order, hence in vid order).
   Status WriteDeltaFiles(Timestamp t, Superstep s,
                          const std::vector<int>& attrs,
-                         const std::vector<VertexId>& candidates,
-                         const ColumnSet& values, const ColumnSet* reference_a,
-                         const ColumnSet* reference_b);
+                         const BlockRecords& records);
 
   // ---- incremental machinery ------------------------------------------
   /// True when an incremental superstep may take the recompute path: a
@@ -388,9 +438,9 @@ class Engine {
   }
   bool IsMonoidScalar(int attr) const;
   bool IsAccmMonoid(int attr) const;
-  const std::vector<int>& NonAccmAttrs() const;
-  const std::vector<int>& AttrFileAttrs() const;
-  const std::vector<int>& AccmFileAttrs() const;
+  const std::vector<int>& NonAccmAttrs() const { return non_accm_attrs_; }
+  const std::vector<int>& AttrFileAttrs() const { return attr_file_attrs_; }
+  const std::vector<int>& AccmFileAttrs() const { return accm_file_attrs_; }
 
   DynamicGraphStore* store_;
   const CompiledProgram* program_;
@@ -409,9 +459,11 @@ class Engine {
   int contribs_attr_ = -1;            // hidden: per-vertex contribution count
   std::vector<int> support_attr_;     // per program attr: hidden support or -1
   std::vector<int> accm_attrs_;       // program attrs that are accumulators
-  mutable std::vector<int> non_accm_attrs_;
-  mutable std::vector<int> attr_file_attrs_;
-  mutable std::vector<int> accm_file_attrs_;
+  // Built in the constructor (pool workers read them concurrently).
+  std::vector<int> non_accm_attrs_;   // program attrs, not accumulators
+  std::vector<int> attr_file_attrs_;  // ... and not virtual (degrees)
+  std::vector<int> accm_file_attrs_;  // accumulators, supports, contribs
+  std::vector<uint8_t> delta_domain_;  // ΔUpdate domain marks (scratch)
 
   ColumnSet cur_cols_;
   ColumnSet prev_cols_;

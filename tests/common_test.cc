@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/memory_budget.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -11,6 +13,30 @@
 
 namespace itg {
 namespace {
+
+TEST(LoggingTest, FilteredMessageEvaluatesNoOperand) {
+  const LogLevel saved = MinLogLevel();
+  MinLogLevel() = LogLevel::kWarn;
+  int calls = 0;
+  auto f = [&calls] { return ++calls; };
+  ITG_LOG(Debug) << f();
+  EXPECT_EQ(calls, 0);
+  // A caller's own else still binds to the caller's if.
+  bool took_else = false;
+  if (calls != 0)
+    ITG_LOG(Debug) << f();
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  EXPECT_EQ(calls, 0);
+  MinLogLevel() = LogLevel::kDebug;
+  testing::internal::CaptureStderr();
+  ITG_LOG(Debug) << f();
+  const std::string logged = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(calls, 1);
+  EXPECT_NE(logged.find("] 1"), std::string::npos) << logged;
+  MinLogLevel() = saved;
+}
 
 TEST(StatusTest, OkByDefault) {
   Status status;

@@ -42,13 +42,17 @@ struct Fingerprint {
   /// End-of-run state digest per run (order-independent column hash).
   std::vector<uint64_t> digests;
   uint64_t emissions = 0;
+  /// Store bytes written per run: delta-chain records and merges, so a
+  /// history that diverges in size fails even where the state does not.
+  std::vector<uint64_t> write_bytes;
   /// Incremental supersteps that chose the recompute path (the choice
   /// itself is part of profile_work; this makes sure it was exercised).
   uint64_t recompute_supersteps = 0;
 
   bool operator==(const Fingerprint& other) const {
     return bits == other.bits && profile_work == other.profile_work &&
-           digests == other.digests && emissions == other.emissions;
+           digests == other.digests && emissions == other.emissions &&
+           write_bytes == other.write_bytes;
   }
 };
 
@@ -68,6 +72,7 @@ void Capture(const Engine& engine, const CompiledProgram& program,
   }
   fp->emissions += engine.last_stats().emissions_applied;
   fp->digests.push_back(engine.last_stats().state_digest);
+  fp->write_bytes.push_back(engine.last_stats().write_bytes);
   for (const gsa::SuperstepProfile& row :
        engine.last_profile().supersteps()) {
     if (row.mode == gsa::SuperstepMode::kRecompute) {
@@ -83,11 +88,14 @@ void Capture(const Engine& engine, const CompiledProgram& program,
 }
 
 /// Runs one-shot + 3 incremental steps with `num_threads` workers and
-/// fingerprints the state after every run.
+/// fingerprints the state after every run. `update_shardable` says
+/// whether the program's Update may run vertex-sharded (no global
+/// writes); the ΔUpdate passes must then use the pool at threads > 1.
 Fingerprint RunPipeline(const std::string& source, bool symmetric,
                         double insert_ratio, int fixed_supersteps,
                         int num_threads, const std::string& tag,
-                        int num_partitions = 1) {
+                        int num_partitions = 1,
+                        bool update_shardable = true) {
   auto all_edges = GenerateRmatEdges(1 << 9, 6 << 9, {.seed = 99});
   if (symmetric) {
     for (Edge& e : all_edges) {
@@ -122,6 +130,7 @@ Fingerprint RunPipeline(const std::string& source, bool symmetric,
 
   Fingerprint fp;
   uint64_t parallel_tasks = 0;
+  uint64_t delta_update_tasks = 0;
   EXPECT_TRUE(engine.RunOneShot(0).ok());
   Capture(engine, *program, n, &fp);
   parallel_tasks += engine.last_stats().parallel_tasks;
@@ -141,14 +150,21 @@ Fingerprint RunPipeline(const std::string& source, bool symmetric,
     EXPECT_TRUE(st.ok()) << st.ToString();
     Capture(engine, *program, n, &fp);
     parallel_tasks += engine.last_stats().parallel_tasks;
+    delta_update_tasks += engine.last_stats().update_tasks;
   }
   if (num_threads > 1) {
     // The pipelines below are parallel-safe; make sure the parallel
     // executor actually engaged (otherwise this test proves nothing).
     EXPECT_GT(parallel_tasks, 0u) << tag;
     EXPECT_EQ(engine.last_stats().threads, num_threads) << tag;
+    if (update_shardable) {
+      EXPECT_GT(delta_update_tasks, 0u) << tag << ": ΔUpdate ran unsharded";
+    } else {
+      EXPECT_EQ(delta_update_tasks, 0u) << tag << ": global writes sharded";
+    }
   } else {
     EXPECT_EQ(parallel_tasks, 0u) << tag;
+    EXPECT_EQ(delta_update_tasks, 0u) << tag;
     EXPECT_EQ(engine.last_stats().threads, 1) << tag;
   }
   return fp;
@@ -159,13 +175,15 @@ Fingerprint ExpectIdenticalAcrossThreadCounts(const std::string& source,
                                               bool symmetric,
                                               double insert_ratio,
                                               int fixed_supersteps,
-                                              const std::string& tag) {
+                                              const std::string& tag,
+                                              bool update_shardable = true) {
   Fingerprint base =
       RunPipeline(source, symmetric, insert_ratio, fixed_supersteps, 1, tag);
   EXPECT_FALSE(base.bits.empty());
   for (int threads : {2, 8}) {
-    Fingerprint fp = RunPipeline(source, symmetric, insert_ratio,
-                                 fixed_supersteps, threads, tag);
+    Fingerprint fp =
+        RunPipeline(source, symmetric, insert_ratio, fixed_supersteps,
+                    threads, tag, /*num_partitions=*/1, update_shardable);
     EXPECT_TRUE(fp == base) << tag << " diverged at threads=" << threads;
   }
   return base;
@@ -178,6 +196,50 @@ TEST(ParallelDeterminismTest, PageRank) {
   Fingerprint base = ExpectIdenticalAcrossThreadCounts(
       PageRankProgram(), /*symmetric=*/false, 0.75, 10, "pr");
   EXPECT_GT(base.recompute_supersteps, 0u);
+}
+
+TEST(ParallelDeterminismTest, QuantizedPageRank) {
+  // The repo benchmark's program: Δ and recompute supersteps, and a
+  // ΔUpdate domain of most vertices whose history records are written
+  // from per-block buffers.
+  Fingerprint base = ExpectIdenticalAcrossThreadCounts(
+      QuantizedPageRankProgram(), /*symmetric=*/false, 0.75, 10, "qpr");
+  EXPECT_GT(base.recompute_supersteps, 0u);
+}
+
+TEST(ParallelDeterminismTest, UpdateWritingGlobalStaysSequential) {
+  // A global assignment in Update makes the result depend on vertex
+  // order, so Update and ΔUpdate stay on one thread (the walk still uses
+  // the pool) and match threads=1 bit for bit.
+  const std::string source = R"(
+    Vertex (id, active, out_nbrs, out_degree,
+            rank: double, sum: Accm<double, SUM>)
+    GlobalVariable (last: double)
+
+    Initialize (u) {
+      u.rank = 1;
+      u.active = true;
+    }
+
+    Traverse (u) {
+      Let val = u.rank / u.out_degree;
+      For v in u.out_nbrs {
+        v.sum.Accumulate(val);
+      }
+    }
+
+    Update (u) {
+      Let val = 0.15 / V + 0.85 * u.sum;
+      If (Abs(val - u.rank) > 0.001) {
+        u.rank = val;
+        u.active = true;
+        last = u.id + val;
+      }
+    }
+  )";
+  ExpectIdenticalAcrossThreadCounts(source, /*symmetric=*/false, 0.75, 10,
+                                    "global_update",
+                                    /*update_shardable=*/false);
 }
 
 TEST(ParallelDeterminismTest, WccWithDeletions) {

@@ -34,6 +34,27 @@
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
+# Every failure after the daemon is launched goes through fail(): it
+# stops the daemon and the load burst (PIDs in serve.pid / load.pid;
+# SIGTERM, then SIGKILL after 5 s), and prints the tail of both logs so
+# the failing phase is on record. Nothing outlives a failed run.
+function(fail)
+  execute_process(
+    COMMAND sh -c "pids=''; \
+            for f in ${WORK_DIR}/load.pid ${WORK_DIR}/serve.pid; do \
+              test -f $f && pids=\"$pids $(cat $f)\"; done; \
+            test -n \"$pids\" && kill $pids 2>/dev/null; \
+            for i in $(seq 1 50); do alive=''; \
+              for p in $pids; do kill -0 $p 2>/dev/null && alive=1; done; \
+              test -z \"$alive\" && break; sleep 0.1; done; \
+            test -n \"$pids\" && kill -9 $pids 2>/dev/null; \
+            for f in ${WORK_DIR}/serve.log ${WORK_DIR}/load.log; do \
+              test -f $f && { echo \"--- tail of $f\"; tail -n 40 $f; }; \
+            done; true"
+    OUTPUT_VARIABLE fail_logs)
+  message(FATAL_ERROR ${ARGN} "\n${fail_logs}")
+endfunction()
+
 set(ENV{ITG_TELEMETRY_PORTFILE} ${WORK_DIR}/telemetry.port)
 set(ENV{ITG_THREADS} 1)
 
@@ -50,7 +71,7 @@ execute_process(
           > ${WORK_DIR}/serve.log 2>&1 & echo $! > ${WORK_DIR}/serve.pid"
   RESULT_VARIABLE launch_rc)
 if(NOT launch_rc EQUAL 0)
-  message(FATAL_ERROR "could not launch itg_serve (${launch_rc})")
+  fail("could not launch itg_serve (${launch_rc})")
 endif()
 
 # 2. Load burst + firing check run concurrently: the burn rule must
@@ -59,17 +80,20 @@ endif()
 # a regression), and the firing state must surface on /metrics (ALERTS
 # series) and /healthz (503, reason names the rule). The burst runs in
 # the background with its own log (the checker exits as soon as it sees
-# firing — a pipe would SIGPIPE the still-running loadgen).
+# firing — a pipe would SIGPIPE the still-running loadgen); its subshell
+# must not hold execute_process's output pipe either, or the launch
+# would block until the burst ends.
 execute_process(
   COMMAND sh -c "( ${ITG_LOADGEN} --portfile ${WORK_DIR}/serve.port \
           --graph rmat:10 --program wcc \
           --connections 2 --subscribers 2 --ops-per-batch 4 \
           --rate 60 --duration-ms 6000 --slo-ms 30000 --seed 7 \
-          > ${WORK_DIR}/load.log 2>&1; \
-          echo $? > ${WORK_DIR}/load.rc ) &"
+          > ${WORK_DIR}/load.log 2>&1 & \
+          echo $! > ${WORK_DIR}/load.pid; wait $!; \
+          echo $? > ${WORK_DIR}/load.rc ) > /dev/null 2>&1 &"
   RESULT_VARIABLE burst_launch_rc)
 if(NOT burst_launch_rc EQUAL 0)
-  message(FATAL_ERROR "could not launch the load burst")
+  fail("could not launch the load burst")
 endif()
 execute_process(
   COMMAND ${Python3_EXECUTABLE} ${ALERTZ_CHECK}
@@ -84,7 +108,7 @@ execute_process(
   ERROR_VARIABLE firing_err)
 message(STATUS "firing check output:\n${firing_out}\n${firing_err}")
 if(NOT firing_rc EQUAL 0)
-  message(FATAL_ERROR "alertz_check firing failed "
+  fail("alertz_check firing failed "
           "(${firing_rc}):\n${firing_err}")
 endif()
 # Let the burst finish cleanly before checking resolution.
@@ -94,13 +118,13 @@ execute_process(
           done; exit 1"
   RESULT_VARIABLE load_wait_rc)
 if(NOT load_wait_rc EQUAL 0)
-  message(FATAL_ERROR "load burst never finished")
+  fail("load burst never finished")
 endif()
 file(READ ${WORK_DIR}/load.rc load_rc)
 string(STRIP "${load_rc}" load_rc)
 if(NOT load_rc EQUAL 0)
   file(READ ${WORK_DIR}/load.log load_log)
-  message(FATAL_ERROR "load burst failed (${load_rc}):\n${load_log}")
+  fail("load burst failed (${load_rc}):\n${load_log}")
 endif()
 
 # 3. After the burst: the incident bundle must be complete, and with no
@@ -115,7 +139,7 @@ execute_process(
   ERROR_VARIABLE resolve_err)
 message(STATUS "resolve check output:\n${resolve_out}\n${resolve_err}")
 if(NOT resolve_rc EQUAL 0)
-  message(FATAL_ERROR "alertz_check resolve failed "
+  fail("alertz_check resolve failed "
           "(${resolve_rc}):\n${resolve_err}")
 endif()
 
@@ -130,7 +154,7 @@ execute_process(
   ERROR_VARIABLE shutdown_err)
 message(STATUS "shutdown: ${shutdown_out}")
 if(NOT shutdown_rc EQUAL 0)
-  message(FATAL_ERROR "shutdown op failed (${shutdown_rc}):\n${shutdown_err}")
+  fail("shutdown op failed (${shutdown_rc}):\n${shutdown_err}")
 endif()
 execute_process(
   COMMAND sh -c "pid=$(cat ${WORK_DIR}/serve.pid); \
@@ -139,7 +163,7 @@ execute_process(
           done; echo 'itg_serve did not exit after shutdown'; exit 1"
   RESULT_VARIABLE exit_rc)
 if(NOT exit_rc EQUAL 0)
-  message(FATAL_ERROR "itg_serve did not drain after the shutdown op")
+  fail("itg_serve did not drain after the shutdown op")
 endif()
 
 # The report's alerts section: evaluations happened, the burn rule fired
@@ -148,19 +172,18 @@ endif()
 file(READ ${WORK_DIR}/serve_report.json serve_report)
 string(FIND "${serve_report}" "\"alerts\":{\"enabled\":true" alerts_at)
 if(alerts_at EQUAL -1)
-  message(FATAL_ERROR "serve report has no alerts section")
+  fail("serve report has no alerts section")
 endif()
 string(REGEX MATCH
        "\"name\":\"serve_notify_p99_burn\",\"severity\":\"critical\",\"state\":\"(inactive|resolved)\",\"fires\":[1-9]"
        burn_row "${serve_report}")
 if(burn_row STREQUAL "")
-  message(FATAL_ERROR
-          "serve report: burn rule did not fire and resolve:\n"
+  fail("serve report: burn rule did not fire and resolve:\n"
           "${serve_report}")
 endif()
 string(REGEX MATCH "\"bundles_written\":[1-9]" bundles "${serve_report}")
 if(bundles STREQUAL "")
-  message(FATAL_ERROR "serve report: no incident bundle recorded")
+  fail("serve report: no incident bundle recorded")
 endif()
 
 # Schema validation (v9 alerts section included) + self-diff gate.
@@ -172,8 +195,7 @@ execute_process(
   ERROR_VARIABLE summary_err)
 message(STATUS "trace_summary serve_report.json:\n${summary_out}")
 if(NOT summary_rc EQUAL 0)
-  message(FATAL_ERROR
-          "trace_summary.py --report failed (${summary_rc}):\n${summary_err}")
+  fail("trace_summary.py --report failed (${summary_rc}):\n${summary_err}")
 endif()
 execute_process(
   COMMAND ${Python3_EXECUTABLE} ${REPORT_DIFF}
@@ -182,8 +204,7 @@ execute_process(
   OUTPUT_VARIABLE diff_out
   ERROR_VARIABLE diff_err)
 if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-          "report_diff.py self-diff failed (${diff_rc}):\n"
+  fail("report_diff.py self-diff failed (${diff_rc}):\n"
           "${diff_out}\n${diff_err}")
 endif()
 
@@ -196,7 +217,7 @@ execute_process(
   RESULT_VARIABLE doctor_rc
   ERROR_VARIABLE doctor_err)
 if(NOT doctor_rc EQUAL 0)
-  message(FATAL_ERROR "could not doctor the report: ${doctor_err}")
+  fail("could not doctor the report: ${doctor_err}")
 endif()
 execute_process(
   COMMAND ${Python3_EXECUTABLE} ${REPORT_DIFF}
@@ -205,8 +226,7 @@ execute_process(
   OUTPUT_VARIABLE bad_out
   ERROR_VARIABLE bad_err)
 if(bad_rc EQUAL 0)
-  message(FATAL_ERROR
-          "report_diff.py accepted a critical alert still firing at "
+  fail("report_diff.py accepted a critical alert still firing at "
           "drain:\n${bad_out}")
 endif()
 message(STATUS "report_diff correctly rejected the firing alert:\n${bad_out}")
