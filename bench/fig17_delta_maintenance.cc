@@ -35,8 +35,8 @@ void Run(const char* algo, const std::string& source) {
     HarnessOptions options;
     options.path = bench::TempPath("fig17");
     options.engine.fixed_supersteps = 10;
-    options.store.merge_strategy = strategies[s];
-    options.store.merge_period = 50;
+    options.engine.merge_strategy = strategies[s];
+    options.engine.merge_period = 50;
     auto harness = CheckOk(Harness::Create(source, RmatVertices(16),
                                            GenerateRmat(16), options));
     CheckOk(harness->RunOneShot());
@@ -45,7 +45,7 @@ void Run(const char* algo, const std::string& source) {
       seconds[s].push_back(harness->engine().last_stats().seconds);
     }
     final_chain[s] =
-        harness->store().vertex_store()->ChainRecords(5, /*attr=*/4);
+        harness->engine().vertex_store().ChainRecords(5, /*attr=*/4);
   }
   for (int t = 10; t <= kSnapshots; t += 10) {
     // Average over the preceding 10 snapshots to smooth noise.

@@ -34,15 +34,9 @@ class ResourceContext;
 ///
 /// Accounting: the pool meters per-worker busy nanos (thread CPU time,
 /// so time a worker spends descheduled on an oversubscribed host is not
-/// billed as work) and the number of steals. `critical_nanos()`
-/// accumulates, per batch, the modeled makespan on a machine with one
-/// core per worker: Brent's bound `T_total/k + T_span` (span = longest
-/// single task), capped at the serial time. This mirrors the repo's simulated
-/// distributed-time model (DESIGN.md §2) and is what the bench harness
-/// reports as thread scaling on single-core containers, where real
-/// wall-clock speedup is unobservable. When a Metrics sink is attached,
-/// per-worker busy nanos and steals are also pushed there after every
-/// batch. The sequential fast path (pool of 1 / single task) is metered
+/// billed as work) and the number of steals. When a Metrics sink is
+/// attached, per-worker busy nanos and steals are also pushed there after
+/// every batch. The sequential fast path (pool of 1 / single task) is metered
 /// into a dedicated *caller lane* (`caller_busy_nanos()`,
 /// `Metrics::AddCallerCpuNanos`) rather than worker 0's meter, so inline
 /// execution cannot masquerade as worker-0 skew.
@@ -85,10 +79,6 @@ class ThreadPool {
   uint64_t caller_busy_nanos() const { return caller_busy_nanos_; }
   /// Cumulative busy nanos summed over all workers plus the caller lane.
   uint64_t total_busy_nanos() const;
-  /// Sum over batches of the modeled per-batch makespan (Brent's bound
-  /// `total/k + longest task`, capped at total): the wall time of the
-  /// parallel sections had each worker owned a core.
-  uint64_t critical_nanos() const { return critical_nanos_; }
 
   /// Default worker count: the ITG_THREADS environment variable if set
   /// to a positive integer, else std::thread::hardware_concurrency(),
@@ -137,15 +127,12 @@ class ThreadPool {
   int drained_ = 0;
   std::atomic<uint64_t> steals_{0};
 
-  // Per-batch busy nanos and longest single task (slot per worker;
-  // written by that worker only, read by the caller after the batch
-  // completes).
+  // Per-batch busy nanos (slot per worker; written by that worker only,
+  // read by the caller after the batch completes).
   std::vector<uint64_t> batch_busy_;
-  std::vector<uint64_t> batch_longest_;
   // Cumulative counters, updated by the caller between batches.
   std::vector<uint64_t> busy_nanos_;
   uint64_t caller_busy_nanos_ = 0;
-  uint64_t critical_nanos_ = 0;
 };
 
 }  // namespace itg

@@ -143,7 +143,9 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
       program_(program),
       options_(options),
       enumerator_(program, store, store->pool(),
-                  {options.window_vertices, options.multiway_intersection}) {
+                  {options.window_vertices, options.multiway_intersection}),
+      vertex_store_(store->page_store(), store->num_vertices(),
+                    options.merge_strategy, options.merge_period) {
   // Column layout: program attrs, then the hidden contribution counter,
   // then one support column per scalar-monoid accumulator.
   const int n_attrs = num_program_attrs();
@@ -174,17 +176,15 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
   }
   accm_file_attrs_.push_back(contribs_attr_);
   // Register the same layout in the vertex store (indices align).
-  VertexStore* vs = store_->vertex_store();
-  if (vs->attribute_count() == 0) {
-    for (int a = 0; a < n_attrs; ++a) {
-      vs->RegisterAttribute(program_->vertex_attrs[a].name, all_widths_[a]);
-    }
-    vs->RegisterAttribute("__contribs", 1);
-    for (int a : accm_attrs_) {
-      if (support_attr_[a] >= 0) {
-        vs->RegisterAttribute("__support_" + program_->vertex_attrs[a].name,
-                              1);
-      }
+  for (int a = 0; a < n_attrs; ++a) {
+    vertex_store_.RegisterAttribute(program_->vertex_attrs[a].name,
+                                    all_widths_[a]);
+  }
+  vertex_store_.RegisterAttribute("__contribs", 1);
+  for (int a : accm_attrs_) {
+    if (support_attr_[a] >= 0) {
+      vertex_store_.RegisterAttribute(
+          "__support_" + program_->vertex_attrs[a].name, 1);
     }
   }
   recompute_sets_.resize(static_cast<size_t>(n_attrs));
@@ -972,8 +972,7 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
   return Status::OK();
 }
 
-void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0,
-                             uint64_t crit0) {
+void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0) {
   stats_.threads = (num_threads_ > 1 &&
                     (parallel_safe_ || update_parallel_safe_) &&
                     options_.num_partitions <= 1)
@@ -982,7 +981,6 @@ void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0,
   if (pool_threads_ != nullptr) {
     stats_.steals = pool_threads_->steals() - steals0;
     stats_.busy_nanos = pool_threads_->total_busy_nanos() - busy0;
-    stats_.critical_nanos = pool_threads_->critical_nanos() - crit0;
   }
 }
 
@@ -1210,7 +1208,6 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
                                const std::vector<int>& attrs,
                                const BlockRecords& records) {
   TraceSpan span("history_write", "engine", s);
-  VertexStore* vs = store_->vertex_store();
   DeltaRecords joined;
   for (size_t i = 0; i < attrs.size(); ++i) {
     const DeltaRecords* file = &records.front()[i];
@@ -1225,8 +1222,8 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
       }
       file = &joined;
     }
-    ITG_RETURN_IF_ERROR(vs->WriteDelta(t, s, attrs[i], file->vids,
-                                       file->values));
+    ITG_RETURN_IF_ERROR(vertex_store_.WriteDelta(
+        t - history_base_, s, attrs[i], file->vids, file->values));
   }
   return Status::OK();
 }
@@ -1244,12 +1241,12 @@ Status Engine::RunOneShot(Timestamp t) {
   const uint64_t write0 = metrics.write_bytes();
   stats_ = RunStats{};
   stats_.timestamp = t;
+  history_base_ = t;
   const uint64_t windows0 = enumerator_.windows_loaded();
   const uint64_t scans0 = enumerator_.edges_scanned();
   const uint64_t pruned0 = enumerator_.walks_pruned();
   const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
   const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  const uint64_t crit0 = pool_threads_ ? pool_threads_->critical_nanos() : 0;
   profile_.ResetCounters();
   const std::vector<WalkEnumerator::LevelCounts> walk_base =
       enumerator_.level_counts();
@@ -1335,7 +1332,7 @@ Status Engine::RunOneShot(Timestamp t) {
   stats_.seconds = watch.ElapsedSeconds();
   stats_.read_bytes = metrics.read_bytes() - read0;
   stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0, crit0);
+  FillThreadStats(steals0, busy0);
   return Status::OK();
 }
 
@@ -1372,7 +1369,6 @@ Status Engine::RunIncremental(Timestamp t) {
   const uint64_t pruned0 = enumerator_.walks_pruned();
   const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
   const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  const uint64_t crit0 = pool_threads_ ? pool_threads_->critical_nanos() : 0;
   profile_.ResetCounters();
   const std::vector<WalkEnumerator::LevelCounts> walk_base =
       enumerator_.level_counts();
@@ -1381,7 +1377,7 @@ Status Engine::RunIncremental(Timestamp t) {
   const VertexId n = store_->num_vertices();
   const Timestamp prev_t = t - 1;
   BufferPool* pool = store_->pool();
-  VertexStore* vs = store_->vertex_store();
+  const Timestamp history_prev_t = prev_t - history_base_;
   ResetMachineStats();
   // Shared store reads (delta-chain overlays) are split evenly over the
   // simulated machines in the distributed time model.
@@ -1446,8 +1442,8 @@ Status Engine::RunIncremental(Timestamp t) {
       TraceSpan overlay_span("overlay", "engine", s);
       ResetAccumulators(&prev_cols_);
       for (int attr : AccmFileAttrs()) {
-        ITG_RETURN_IF_ERROR(vs->OverlaySuperstep(
-            pool, prev_t, s, attr, prev_cols_.Column(attr).data()));
+        ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
+            pool, history_prev_t, s, attr, prev_cols_.Column(attr).data()));
       }
     }
     charge_shared_seconds(overlay_watch.ElapsedSeconds());
@@ -1515,8 +1511,9 @@ Status Engine::RunIncremental(Timestamp t) {
     {
       TraceSpan overlay_span("overlay", "engine", s);
       for (int attr : AttrFileAttrs()) {
-        ITG_RETURN_IF_ERROR(vs->OverlaySuperstep(
-            pool, prev_t, s + 1, attr, prev_cols_.Column(attr).data()));
+        ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
+            pool, history_prev_t, s + 1, attr,
+            prev_cols_.Column(attr).data()));
       }
     }
     charge_shared_seconds(overlay_watch.ElapsedSeconds());
@@ -1554,7 +1551,8 @@ Status Engine::RunIncremental(Timestamp t) {
   PublishStateDigest(t);
 
   if (options_.record_history) {
-    ITG_RETURN_IF_ERROR(vs->MaintainAfterSnapshot(t, pool));
+    ITG_RETURN_IF_ERROR(
+        vertex_store_.MaintainAfterSnapshot(t - history_base_, pool));
   }
 
   last_run_t_ = t;
@@ -1566,7 +1564,7 @@ Status Engine::RunIncremental(Timestamp t) {
   stats_.seconds = watch.ElapsedSeconds();
   stats_.read_bytes = metrics.read_bytes() - read0;
   stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0, crit0);
+  FillThreadStats(steals0, busy0);
   return Status::OK();
 }
 

@@ -19,6 +19,7 @@
 #include "engine/walk.h"
 #include "gsa/profile.h"
 #include "storage/graph_store.h"
+#include "storage/vertex_store.h"
 
 namespace itg {
 
@@ -46,6 +47,9 @@ struct EngineOptions {
   /// Write per-superstep history to the vertex store (required before
   /// RunIncremental; disable for throwaway one-shot comparison runs).
   bool record_history = true;
+  /// Compaction policy of the vertex-history delta chains (§5.5, Fig 17).
+  MergeStrategy merge_strategy = MergeStrategy::kCostBased;
+  int merge_period = 50;
   /// Distributed simulation (§2 of DESIGN.md): hash-partition the work
   /// over this many simulated machines, each with its own buffer pool and
   /// meters. 1 = plain single-machine execution.
@@ -129,10 +133,6 @@ struct RunStats {
   uint64_t steals = 0;
   /// Sum over workers of time spent inside pool tasks.
   uint64_t busy_nanos = 0;
-  /// Sum over pool batches of the modeled makespan (Brent's bound,
-  /// see ThreadPool::critical_nanos): the wall time of the parallel
-  /// sections with one core per worker.
-  uint64_t critical_nanos = 0;
   /// Order-independent digest of the audited attribute columns at the
   /// end of the run (Engine::ComputeStateDigest). Deterministic across
   /// thread counts; a state fingerprint, not a work counter.
@@ -144,16 +144,21 @@ struct RunStats {
 /// (full enumeration) or incrementally (Δ-walk enumeration with
 /// incremental Accumulate, §5.3–5.4).
 ///
-/// Lifecycle: one Engine per (store, program); RunOneShot on the initial
-/// snapshot, then RunIncremental once per mutation batch. The engine
-/// keeps the current snapshot's final attribute values in memory and the
-/// per-superstep history in the vertex store (delta chains).
+/// Lifecycle: RunOneShot at some snapshot L of the store, then
+/// RunIncremental once per later snapshot. The store describes only the
+/// graph, so any number of engines may share one. Each engine keeps the
+/// current snapshot's final attribute values in memory and owns the
+/// per-superstep history (the vertex store's delta chains) in the
+/// store's page file.
 class Engine {
  public:
   Engine(DynamicGraphStore* store, const CompiledProgram* program,
          const EngineOptions& options);
 
-  /// Full execution at snapshot `t` (normally 0).
+  /// Full execution at snapshot `t` (0, or the store's latest snapshot
+  /// for an engine that joins a store already advanced). History is
+  /// kept relative to `t`: the vertex store sees this run as its
+  /// snapshot 0, so merge decisions match an engine started at 0.
   Status RunOneShot(Timestamp t);
 
   /// Incremental execution at snapshot `t`; requires that the previous
@@ -213,6 +218,8 @@ class Engine {
   std::vector<int> AuditedAttrs() const;
   /// Read access to the current attribute state (audit column diffs).
   const ColumnSet& columns() const { return cur_cols_; }
+  /// The per-superstep history this engine wrote (delta chains).
+  const VertexStore& vertex_store() const { return vertex_store_; }
   /// Provenance report for `v`: current audited values plus the
   /// derivation chain of contributing raw edge mutations. Empty string
   /// unless EngineOptions::lineage is set.
@@ -297,7 +304,7 @@ class Engine {
   static bool ProgramParallelSafe(const CompiledProgram& program);
   /// Fills the thread-scaling fields of stats_ from the pool's cumulative
   /// counters (deltas against the given run-start baselines).
-  void FillThreadStats(uint64_t steals0, uint64_t busy0, uint64_t crit0);
+  void FillThreadStats(uint64_t steals0, uint64_t busy0);
 
   // ---- EXPLAIN ANALYZE recording ---------------------------------------
   /// Re-resolves the cached per-operator counter cells (map-node addresses
@@ -446,6 +453,10 @@ class Engine {
   const CompiledProgram* program_;
   EngineOptions options_;
   WalkEnumerator enumerator_;
+  // Per-superstep history, in the store's page file. Its timestamps are
+  // store timestamps minus history_base_, the snapshot of the one-shot.
+  VertexStore vertex_store_;
+  Timestamp history_base_ = 0;
 
   // ---- intra-machine parallelism ---------------------------------------
   bool parallel_safe_ = false;

@@ -103,7 +103,6 @@ std::string RunReport::ToJson() const {
     AppendField(&out, "parallel_tasks", s.parallel_tasks);
     AppendField(&out, "steals", s.steals);
     AppendField(&out, "busy_nanos", s.busy_nanos);
-    AppendField(&out, "critical_nanos", s.critical_nanos);
     AppendField(&out, "state_digest", s.state_digest);
     out.append("\"machines\":[");
     for (size_t m = 0; m < run.machines.size(); ++m) {

@@ -183,7 +183,7 @@ struct AlertsSection {
 ///      "recomputed_vertices": 0,
 ///      "delta_walks": {"enumerated": 0, "pruned": 0},
 ///      "threads": 1, "parallel_tasks": 0, "steals": 0,
-///      "busy_nanos": 0, "critical_nanos": 0,
+///      "busy_nanos": 0,
 ///      "state_digest": 0,       // v4, end-of-run state digest
 ///      "machines": [{"seconds": 0.1, "network_bytes": 123}, ...],
 ///      "operators": [           // v2, present when a profile was attached

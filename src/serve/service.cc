@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "storage/csr.h"
 
 namespace itg {
 namespace serve {
@@ -102,6 +103,20 @@ StatusOr<std::unique_ptr<Service>> Service::Create(
 
 Service::~Service() { Drain(); }
 
+Status Service::BuildSymmetricCompanionLocked() {
+  std::vector<Edge> edges;
+  ITG_RETURN_IF_ERROR(primary_->MaterializeEdges(
+      primary_->pool(), primary_->latest(), &edges));
+  ITG_ASSIGN_OR_RETURN(
+      symmetric_,
+      DynamicGraphStore::Create(options_.scratch_dir + "/symmetric",
+                                primary_->num_vertices(),
+                                SymmetrizeEdges(edges),
+                                DynamicGraphStore::Options{},
+                                &GlobalMetrics()));
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Control plane
 // ---------------------------------------------------------------------------
@@ -136,15 +151,29 @@ Response Service::Register(const Request& req, Response* snapshot_out) {
     sq.source = req.source;
   }
   if (req.supersteps != 0) sq.fixed_supersteps = req.supersteps;
-  sq.symmetric = req.symmetric;
   sq.budget_bytes = req.budget_bytes != 0 ? req.budget_bytes
                                           : options_.default_budget_bytes;
-  sq.scratch_path = options_.scratch_dir + "/view_" + req.query;
+  sq.scratch_path = options_.scratch_dir + "/audit_" + req.query;
   sq.num_threads = options_.num_threads;
   sq.verify_on_register = options_.verify_on_register;
   sq.registry = registry_;
 
-  auto query_or = StandingQuery::Create(primary_.get(), sq);
+  // Symmetric views share one companion store: the graph of record with
+  // every edge mirrored, advanced by ApplyOneBatch right after the
+  // primary. The ingest stream must then never carry both orientations
+  // of an edge.
+  DynamicGraphStore* store = primary_.get();
+  if (req.symmetric) {
+    if (symmetric_ == nullptr) {
+      Status s = BuildSymmetricCompanionLocked();
+      if (!s.ok()) {
+        return MakeError(RequestOp::kRegister, req.query, "internal",
+                         s.ToString());
+      }
+    }
+    store = symmetric_.get();
+  }
+  auto query_or = StandingQuery::Create(store, sq);
   if (!query_or.ok()) {
     const Status& s = query_or.status();
     ITG_LOG(Warn) << "serve: register '" << req.query
@@ -452,6 +481,27 @@ void Service::ApplyOneBatch(PendingBatch batch) {
     return;
   }
   GlobalLiveStatus().SetDeltaSeq(*ts_or);
+  if (symmetric_ != nullptr &&
+      std::none_of(queries_.begin(), queries_.end(), [&](const auto& q) {
+        return q.second->store() == symmetric_.get();
+      })) {
+    symmetric_.reset();  // its last view is gone
+  }
+  if (symmetric_ != nullptr) {
+    std::vector<EdgeDelta> mirrored;
+    mirrored.reserve(batch.ops.size() * 2);
+    for (const EdgeDelta& d : batch.ops) {
+      mirrored.push_back(d);
+      mirrored.push_back({{d.edge.dst, d.edge.src}, d.mult});
+    }
+    // On failure the symmetric views fail their own chain check below
+    // and are dropped.
+    Status s = symmetric_->ApplyMutations(mirrored).status();
+    if (!s.ok()) {
+      ITG_LOG(Error) << "serve: symmetric ApplyMutations failed: "
+                     << s.ToString();
+    }
+  }
   last_applied_seq_ = batch.seq;
 
   // `cursor` walks the stage boundaries: each stage's end time point is
@@ -481,7 +531,7 @@ void Service::ApplyOneBatch(PendingBatch batch) {
       TraceSpan run_span("serve.view_run", "serve",
                          static_cast<int64_t>(batch.trace_id));
       TraceFlowStep("serve.batch", "serve", batch.trace_id);
-      s = query->ApplyBatch(batch.ops, &delta);
+      s = query->ApplyBatch(&delta);
     }
     if (!s.ok()) {
       ITG_LOG(Error) << "serve: view '" << name
@@ -635,7 +685,7 @@ void Service::BindViewPipelineLocked(StandingQuery* query) {
   pl.lag_batches = registry_->gauge("serve.view_lag_batches." + n);
   pl.lag_us = registry_->gauge("serve.view_lag_us." + n);
   pl.budget_used = registry_->gauge("serve.budget_used_bytes." + n);
-  // The view replicated the primary at the last applied batch, so
+  // The view joined its store at the last applied batch, so
   // anything still queued counts as lag until maintenance catches up.
   // The time reference starts at the newest ingest (lag_us reads 0
   // until the next apply corrects it — a one-batch approximation).

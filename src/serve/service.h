@@ -15,7 +15,7 @@
 // ingest queue decouples producers from view maintenance:
 //
 //   client conns --Ingest()--> [bounded queue] --maintenance thread-->
-//       primary.ApplyMutations + per-view ApplyBatch + subscriber fan-out
+//       store ApplyMutations + per-view ApplyBatch + subscriber fan-out
 //
 // When ingestion outruns maintenance the queue fills and Ingest()
 // blocks — backpressure, surfaced as the serve.backpressure_stalls
@@ -59,7 +59,10 @@ struct ServiceOptions {
   /// Bounded ingest queue capacity (batches); a full queue blocks
   /// Ingest() — the backpressure mechanism.
   size_t ingest_queue_depth = 64;
-  /// File prefix for the primary store and per-view replicas.
+  /// Directory for the store page files: the graph of record
+  /// (`primary.pages`), its symmetrized companion (`symmetric.pages`,
+  /// built on the first symmetric registration) and the registration
+  /// audits' shadow stores (`audit_<view>.shadow*.pages`).
   std::string scratch_dir;
   /// Worker threads per view engine (0 = ITG_THREADS / hardware).
   int num_threads = 0;
@@ -96,8 +99,7 @@ class Service {
   /// carrying the view's one-shot digest; when `req.snapshot` is set and
   /// `snapshot_out` non-null, also fills a snapshot message to deliver
   /// after the ack. Registration runs the one-shot inline, pausing batch
-  /// maintenance (the view must replicate the primary at a batch
-  /// boundary).
+  /// maintenance (the view must join its store at a batch boundary).
   Response Register(const Request& req, Response* snapshot_out);
 
   /// Drops a standing query and releases its budget slice.
@@ -164,6 +166,8 @@ class Service {
 
   void MaintenanceLoop();
   void ApplyOneBatch(PendingBatch batch);
+  /// Builds symmetric_ from the primary's latest snapshot. Call under mu_.
+  Status BuildSymmetricCompanionLocked();
   void FillStatusLocked(Response* out);
   /// `{"slow_batch_ms":...,"stages":{...},"views":{...}}` — the
   /// "pipeline" object of the /statusz splice.
@@ -185,6 +189,10 @@ class Service {
   ServiceOptions options_;
   MetricsRegistry* registry_ = nullptr;
   std::unique_ptr<DynamicGraphStore> primary_;
+  /// The graph of record with every edge mirrored, shared by all
+  /// symmetric views; built on the first symmetric registration, dropped
+  /// when no symmetric view remains (under mu_).
+  std::unique_ptr<DynamicGraphStore> symmetric_;
 
   mutable std::mutex mu_;  // control plane + primary + views + subscribers
   std::map<std::string, std::unique_ptr<StandingQuery>> queries_;

@@ -6,41 +6,25 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "harness/audit.h"
-#include "storage/csr.h"
 
 namespace itg {
 namespace serve {
 
 StatusOr<std::unique_ptr<StandingQuery>> StandingQuery::Create(
-    DynamicGraphStore* primary, const StandingQueryOptions& options) {
+    DynamicGraphStore* store, const StandingQueryOptions& options) {
   auto query = std::unique_ptr<StandingQuery>(new StandingQuery());
   query->options_ = options;
+  query->store_ = store;
   query->budget_ = std::make_unique<MemoryBudget>(options.budget_bytes);
   query->resource_ctx_ = std::make_unique<ResourceContext>(
       "view." + options.name, options.registry);
-  // Everything below — compile, replication, the one-shot run, the
-  // registration audit — executes as this view, so its construction cost
+  // Everything below — compile, the one-shot run, the registration
+  // audit — executes as this view, so its construction cost
   // lands on resource.view.<name>.* (ParallelFor re-establishes the
   // context on pool workers).
   ResourceScope attribution(query->resource_ctx_.get());
 
   ITG_ASSIGN_OR_RETURN(query->program_, CompileProgram(options.source));
-
-  // Replicate the graph of record at its current snapshot. The replica
-  // becomes the view's private timeline: its local t=0 is the primary's
-  // latest(), and each subsequent Δ-batch advances it by one.
-  std::vector<Edge> edges;
-  ITG_RETURN_IF_ERROR(primary->MaterializeEdges(
-      primary->pool(), primary->latest(), &edges));
-  if (options.symmetric) edges = SymmetrizeEdges(edges);
-  const size_t edge_bytes = edges.size() * sizeof(Edge);
-
-  ITG_ASSIGN_OR_RETURN(
-      query->store_,
-      DynamicGraphStore::Create(options.scratch_path,
-                                primary->num_vertices(), std::move(edges),
-                                DynamicGraphStore::Options{},
-                                primary->metrics()));
 
   EngineOptions eopt;
   eopt.fixed_supersteps = options.fixed_supersteps;
@@ -48,17 +32,17 @@ StatusOr<std::unique_ptr<StandingQuery>> StandingQuery::Create(
   eopt.num_partitions = options.num_partitions;
   eopt.num_threads = options.num_threads;
   eopt.query_label = "serve:" + options.name;
-  query->engine_ = std::make_unique<Engine>(query->store_.get(),
-                                            query->program_.get(), eopt);
+  query->engine_ =
+      std::make_unique<Engine>(store, query->program_.get(), eopt);
   query->audited_ = query->engine_->AuditedAttrs();
 
   // Admission-time memory accounting: attribute columns (current +
-  // previous engine generations), the previous-state mirror used for ΔQ
-  // extraction, and the replica edge list. Estimated from the compiled
-  // program's attribute widths — the engine only materializes its
-  // ColumnSet inside the first run, and an over-budget view must be
-  // rejected without burning that run.
-  const size_t n = static_cast<size_t>(primary->num_vertices());
+  // previous engine generations) and the previous-state mirror used for
+  // ΔQ extraction. Estimated from the compiled program's attribute
+  // widths — the engine only materializes its ColumnSet inside the first
+  // run, and an over-budget view must be rejected without burning that
+  // run.
+  const size_t n = static_cast<size_t>(store->num_vertices());
   size_t column_bytes = 0;
   const int attr_count = static_cast<int>(query->program_->vertex_attrs.size());
   for (int attr = 0; attr < attr_count; ++attr) {
@@ -70,10 +54,11 @@ StatusOr<std::unique_ptr<StandingQuery>> StandingQuery::Create(
     mirror_bytes += n * static_cast<size_t>(query->program_->attr_width(attr)) *
                     sizeof(double);
   }
-  query->charged_bytes_ = 2 * column_bytes + mirror_bytes + edge_bytes;
+  query->charged_bytes_ = 2 * column_bytes + mirror_bytes;
   ITG_RETURN_IF_ERROR(query->budget_->Charge(query->charged_bytes_));
 
-  ITG_RETURN_IF_ERROR(query->engine_->RunOneShot(0));
+  query->base_t_ = store->latest();
+  ITG_RETURN_IF_ERROR(query->engine_->RunOneShot(query->base_t_));
   query->runs_ = 1;
   query->t_ = 0;
   query->digest_ = query->engine_->last_stats().state_digest;
@@ -87,11 +72,10 @@ StatusOr<std::unique_ptr<StandingQuery>> StandingQuery::Create(
   if (options.verify_on_register) {
     DriftAuditor::Options aopt;
     aopt.bisect = false;
-    DriftAuditor auditor(query->store_.get(), query->engine_.get(),
-                         options.source, options.scratch_path + ".audit",
-                         aopt);
-    auditor.OnRun(0);
-    ITG_RETURN_IF_ERROR(auditor.AuditNow(0));
+    DriftAuditor auditor(store, query->engine_.get(), options.source,
+                         options.scratch_path, aopt);
+    auditor.OnRun(query->base_t_);
+    ITG_RETURN_IF_ERROR(auditor.AuditNow(query->base_t_));
     if (auditor.section().divergence.found) {
       return Status::Internal("registration audit diverged for view '" +
                               options.name + "'");
@@ -112,29 +96,18 @@ void StandingQuery::MirrorState() {
   }
 }
 
-Status StandingQuery::ApplyBatch(const std::vector<EdgeDelta>& batch,
-                                 Response* out) {
+Status StandingQuery::ApplyBatch(Response* out) {
   // Maintenance runs as this view: incremental supersteps, ΔQ
   // extraction, and any buffer-pool misses they trigger bill to
   // resource.view.<name>.*.
   ResourceScope attribution(resource_ctx_.get());
-  std::vector<EdgeDelta> view_batch;
-  const std::vector<EdgeDelta>* apply = &batch;
-  if (options_.symmetric) {
-    view_batch.reserve(batch.size() * 2);
-    for (const EdgeDelta& d : batch) {
-      view_batch.push_back(d);
-      view_batch.push_back({{d.edge.dst, d.edge.src}, d.mult});
-    }
-    apply = &view_batch;
-  }
-  ITG_ASSIGN_OR_RETURN(Timestamp ts, store_->ApplyMutations(*apply));
-  if (ts != t_ + 1) {
+  const Timestamp ts = store_->latest();
+  if (ts != base_t_ + t_ + 1) {
     return Status::Internal("view '" + options_.name +
                             "' drifted off its delta chain");
   }
   ITG_RETURN_IF_ERROR(engine_->RunIncremental(ts));
-  t_ = ts;
+  t_ = ts - base_t_;
   ++runs_;
   digest_ = engine_->last_stats().state_digest;
   last_supersteps_ = engine_->last_stats().supersteps;
@@ -143,7 +116,7 @@ Status StandingQuery::ApplyBatch(const std::vector<EdgeDelta>& batch,
   out->type = ResponseType::kDelta;
   out->query = options_.name;
   out->timestamp = t_;
-  out->batch_ops = apply->size();
+  out->batch_ops = store_->BatchSize(ts);
   out->supersteps = last_supersteps_;
   out->seconds = last_seconds_;
   out->digest = digest_;

@@ -6,20 +6,20 @@
 // the mutated graph would (verified on registration by reusing the
 // drift auditor, and continuously observable through the state digest).
 //
-// Isolation model: each view owns a private DynamicGraphStore replica,
-// materialized from the graph of record at registration time
-// (MaterializeEdges) and advanced in lockstep by the service's
-// maintenance thread. Replicas exist because an Engine registers its
-// program's attribute schema into its store's VertexStore — two
-// different programs cannot share one store's per-timestamp history
-// files. The ROADMAP's MVCC-shared-snapshot item replaces the replicas
-// with refcounted shared snapshots; the wire protocol is unaffected.
+// Isolation model: views share the service's graph stores — directed
+// views the graph of record, symmetric views one symmetrized companion —
+// which the service advances once per batch before running the views.
+// A store holds only the graph; each view's Engine owns its vertex
+// history (delta chains) in the store's page file, so views of different
+// programs never see each other's files. A view joining at store
+// snapshot L runs its one-shot at L and counts its own timestamps from
+// there: 0 at registration, +1 per batch.
 //
-// Memory accounting: the dominant resident structures (attribute
-// columns, previous-state mirror, replica edge list) are charged to a
-// per-query MemoryBudget slice at admission time, so one greedy
-// registration fails with `budget_exceeded` instead of degrading every
-// established view.
+// Memory accounting: the view's own resident structures (attribute
+// columns and the previous-state mirror) are charged to a per-query
+// MemoryBudget slice at admission time, so one greedy registration fails
+// with `budget_exceeded` instead of degrading every established view.
+// The shared stores are not charged to any view.
 #ifndef ITG_SERVE_STANDING_QUERY_H_
 #define ITG_SERVE_STANDING_QUERY_H_
 
@@ -50,13 +50,9 @@ struct StandingQueryOptions {
   std::string source;
   /// -1 = run to convergence; else exactly this many supersteps.
   int fixed_supersteps = -1;
-  /// Mirror every Δ-op (u,v) as (v,u) for this view (undirected
-  /// analytics; the ingest stream must then never contain both
-  /// orientations of an edge).
-  bool symmetric = false;
   /// Hard cap for this view's charged bytes; 0 = uncapped slice.
   uint64_t budget_bytes = 0;
-  /// File prefix for the view's store replica.
+  /// File prefix for the registration audit's shadow store.
   std::string scratch_path;
   int num_partitions = 1;
   int num_threads = 0;
@@ -70,28 +66,28 @@ struct StandingQueryOptions {
   MetricsRegistry* registry = nullptr;
 };
 
-/// A registered query: compiled program + store replica + resumable
-/// engine + previous-state mirror for ΔQ extraction. Not thread-safe;
-/// the service serializes all calls on its maintenance thread.
+/// A registered query: compiled program + resumable engine over a shared
+/// store + previous-state mirror for ΔQ extraction. Not thread-safe; the
+/// service serializes all calls on its maintenance thread.
 class StandingQuery {
  public:
-  /// Compiles, charges the memory budget, replicates `primary` at its
-  /// latest snapshot, runs the one-shot plan, and (optionally) audits
-  /// the fresh view. Failure modes callers turn into structured errors:
+  /// Compiles, charges the memory budget, runs the one-shot plan at
+  /// `store`'s latest snapshot, and (optionally) audits the fresh view.
+  /// Failure modes callers turn into structured errors:
   /// InvalidArgument = compile_error, OutOfMemory = budget_exceeded.
   static StatusOr<std::unique_ptr<StandingQuery>> Create(
-      DynamicGraphStore* primary, const StandingQueryOptions& options);
+      DynamicGraphStore* store, const StandingQueryOptions& options);
 
   ~StandingQuery();
 
   StandingQuery(const StandingQuery&) = delete;
   StandingQuery& operator=(const StandingQuery&) = delete;
 
-  /// Applies one Δ-batch (primary-store coordinates; symmetrization
-  /// happens inside) and runs the incremental plan. On success fills
-  /// `out` as a `delta` message: changed audited cells (after-images vs.
-  /// the previous snapshot), run stats, and the new state digest.
-  Status ApplyBatch(const std::vector<EdgeDelta>& batch, Response* out);
+  /// Runs the incremental plan on the store's next snapshot, which the
+  /// service has just applied. On success fills `out` as a `delta`
+  /// message: changed audited cells (after-images vs. the previous
+  /// snapshot), run stats, and the new state digest.
+  Status ApplyBatch(Response* out);
 
   /// Fills `out` as a `snapshot` message: every audited attribute column
   /// in full, plus the digest the columns reproduce.
@@ -101,6 +97,8 @@ class StandingQuery {
   void FillRow(QueryRow* row) const;
 
   const std::string& name() const { return options_.name; }
+  /// The shared store this view runs on.
+  const DynamicGraphStore* store() const { return store_; }
   Timestamp timestamp() const { return t_; }
   uint64_t digest() const { return digest_; }
   uint64_t runs() const { return runs_; }
@@ -154,7 +152,7 @@ class StandingQuery {
 
   StandingQueryOptions options_;
   std::unique_ptr<CompiledProgram> program_;
-  std::unique_ptr<DynamicGraphStore> store_;
+  DynamicGraphStore* store_ = nullptr;  // shared, owned by the service
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<MemoryBudget> budget_;  // atomics make it unmovable
   uint64_t charged_bytes_ = 0;
@@ -163,7 +161,8 @@ class StandingQuery {
   std::vector<int> audited_;               // engine attribute ids
   std::vector<std::vector<double>> prev_;  // audited columns, last snapshot
 
-  Timestamp t_ = 0;  // view-local snapshot number
+  Timestamp base_t_ = 0;  // store snapshot of the registration one-shot
+  Timestamp t_ = 0;       // view-local snapshot number
   uint64_t digest_ = 0;
   uint64_t runs_ = 0;
   int last_supersteps_ = 0;

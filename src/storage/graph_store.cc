@@ -19,9 +19,6 @@ StatusOr<std::unique_ptr<DynamicGraphStore>> DynamicGraphStore::Create(
                                               options.buffer_pool_pages);
   store->delta_store_ =
       std::make_unique<EdgeDeltaStore>(store->page_store_.get());
-  store->vertex_store_ = std::make_unique<VertexStore>(
-      store->page_store_.get(), num_vertices, options.merge_strategy,
-      options.merge_period);
 
   Csr out_csr = Csr::FromEdges(num_vertices, base_edges);
   Csr in_csr = out_csr.Transposed();

@@ -15,13 +15,14 @@
 #include "storage/disk_array.h"
 #include "storage/edge_delta_store.h"
 #include "storage/page_store.h"
-#include "storage/vertex_store.h"
 
 namespace itg {
 
 /// The dynamic graph store (§5.5): a disk-resident CSR base snapshot G_0,
-/// per-timestamp edge-delta segments, lazily applied deletions, and the
-/// delta-maintained vertex store.
+/// per-timestamp edge-delta segments and lazily applied deletions. It
+/// describes the graph only: the vertex-attribute history belongs to the
+/// program being maintained (each Engine owns a VertexStore in this
+/// store's page file), so any number of engines share one store.
 ///
 /// Adjacency reads merge the base lists with an in-memory *overlay* of
 /// the cumulative mutations — the counterpart of the paper's strategy of
@@ -37,8 +38,6 @@ class DynamicGraphStore {
   struct Options {
     /// Capacity of the store's default buffer pool, in 64 KiB pages.
     size_t buffer_pool_pages = 2048;
-    MergeStrategy merge_strategy = MergeStrategy::kCostBased;
-    int merge_period = 50;
   };
 
   /// Creates a store at `path` (a file prefix) over `base_edges`.
@@ -102,7 +101,6 @@ class DynamicGraphStore {
 
   BufferPool* pool() { return pool_.get(); }
   PageStore* page_store() { return page_store_.get(); }
-  VertexStore* vertex_store() { return vertex_store_.get(); }
   Metrics* metrics() { return metrics_; }
 
  private:
@@ -134,7 +132,6 @@ class DynamicGraphStore {
   std::unique_ptr<PageStore> page_store_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<EdgeDeltaStore> delta_store_;
-  std::unique_ptr<VertexStore> vertex_store_;
 
   // Base CSR: offsets in memory, neighbor arrays on disk.
   std::vector<int64_t> out_offsets_;

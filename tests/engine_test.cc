@@ -8,6 +8,7 @@
 #include "compiler/compiled_program.h"
 #include "engine/engine.h"
 #include "gen/rmat.h"
+#include "gen/workload.h"
 #include "storage/graph_store.h"
 
 namespace itg {
@@ -124,7 +125,7 @@ TEST_F(EngineTest, RecordHistoryOffStillComputesCorrectly) {
     ASSERT_NEAR(engine_->AttrValue(rank, v), expected[v], 1e-9);
   }
   // No per-superstep files were written.
-  EXPECT_EQ(store_->vertex_store()->ChainRecords(1, rank), 0u);
+  EXPECT_EQ(engine_->vertex_store().ChainRecords(1, rank), 0u);
 }
 
 TEST_F(EngineTest, IncrementalReducesEdgeScans) {
@@ -151,6 +152,65 @@ TEST_F(EngineTest, IncrementalReducesEdgeScans) {
   uint64_t inc_scans = engine_->last_stats().edges_scanned;
   // A two-operation batch must scan a small fraction of the graph.
   EXPECT_LT(inc_scans * 5, oneshot_scans);
+}
+
+// An engine that joins a store at snapshot L keeps its history relative
+// to L: with cost-based merging, the one-shot file at τ = L must count as
+// the chain's base, not as a delta re-read (t − L) times. Compared with
+// the same program started at 0 over the materialized snapshot L, every
+// batch must give the same state and the same chains.
+TEST_F(EngineTest, HistoryOffsetMatchesEngineStartedAtZero) {
+  constexpr VertexId kN = 1 << 8;
+  constexpr Timestamp kJoin = 5;
+  constexpr int kBatches = 30;
+  MutationWorkload workload(GenerateRmatEdges(kN, 6 << 8, {.seed = 61}),
+                            0.9, 61, /*canonical=*/false);
+  Build(workload.initial_edges(), kN, QuantizedPageRankProgram(),
+        {.fixed_supersteps = 10,
+         .merge_strategy = MergeStrategy::kCostBased});
+  for (Timestamp t = 1; t <= kJoin; ++t) {
+    ASSERT_TRUE(store_->ApplyMutations(workload.NextBatch(20, 0.75)).ok());
+  }
+  std::vector<Edge> joined_edges;
+  ASSERT_TRUE(
+      store_->MaterializeEdges(store_->pool(), kJoin, &joined_edges).ok());
+  auto fresh_store = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/engine_history_offset_fresh", kN,
+      joined_edges, {}, &GlobalMetrics());
+  ASSERT_TRUE(fresh_store.ok());
+  Engine fresh(fresh_store.value().get(), program_.get(),
+               engine_->options());
+
+  auto expect_same_chains = [&](int batch) {
+    const VertexStore& joined = engine_->vertex_store();
+    const VertexStore& started = fresh.vertex_store();
+    ASSERT_EQ(joined.max_superstep(), started.max_superstep());
+    ASSERT_EQ(joined.attribute_count(), started.attribute_count());
+    for (Superstep s = 0; s <= joined.max_superstep(); ++s) {
+      for (int attr = 0; attr < joined.attribute_count(); ++attr) {
+        EXPECT_EQ(joined.ChainRecords(s, attr), started.ChainRecords(s, attr))
+            << "batch " << batch << " superstep " << s << " attr " << attr;
+      }
+    }
+  };
+  ASSERT_TRUE(engine_->RunOneShot(kJoin).ok());
+  ASSERT_TRUE(fresh.RunOneShot(0).ok());
+  ASSERT_EQ(engine_->last_stats().state_digest,
+            fresh.last_stats().state_digest);
+  expect_same_chains(0);
+  for (int b = 1; b <= kBatches; ++b) {
+    const std::vector<EdgeDelta> batch = workload.NextBatch(20, 0.75);
+    auto t = store_->ApplyMutations(batch);
+    ASSERT_TRUE(t.ok());
+    ASSERT_EQ(t.value(), kJoin + b);
+    ASSERT_TRUE(fresh_store.value()->ApplyMutations(batch).ok());
+    ASSERT_TRUE(engine_->RunIncremental(kJoin + b).ok());
+    ASSERT_TRUE(fresh.RunIncremental(b).ok());
+    ASSERT_EQ(engine_->last_stats().state_digest,
+              fresh.last_stats().state_digest)
+        << "batch " << b;
+    expect_same_chains(b);
+  }
 }
 
 TEST_F(EngineTest, ExplainContainsIncrementalSubqueries) {

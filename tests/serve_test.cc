@@ -1,21 +1,31 @@
 // Unit tests of the serving layer: wire-protocol round-trips for every
 // documented message shape (docs/SERVING.md), and the transport-free
 // Service core — admission control, budget-slice rejection, ingest
-// validation, delta streaming, and deterministic backpressure stalls.
+// validation, delta streaming, deterministic backpressure stalls, and
+// views sharing the service's graph stores.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algos/programs.h"
 #include "common/clean_stop.h"
+#include "common/metrics.h"
 #include "common/metrics_registry.h"
+#include "common/rng.h"
+#include "compiler/compiled_program.h"
+#include "engine/engine.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "storage/csr.h"
 
 namespace itg {
 namespace serve {
@@ -343,6 +353,8 @@ TEST_F(ServeServiceTest, RegisterIngestStreamDeltas) {
   ASSERT_EQ(iack.type, ResponseType::kAck) << iack.message;
 
   service->Drain();
+  // Taken before `mu`: the sink locks `mu` under the service's lock.
+  Response status = service->GetStatus();
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(deltas.size(), 1u);
   const Response& d = deltas[0];
@@ -361,7 +373,6 @@ TEST_F(ServeServiceTest, RegisterIngestStreamDeltas) {
   EXPECT_TRUE(touched_new_vertex);
 
   // The status row agrees with the streamed digest.
-  Response status = service->GetStatus();
   ASSERT_EQ(status.queries.size(), 1u);
   EXPECT_EQ(status.queries[0].digest, d.digest);
   EXPECT_EQ(status.queries[0].timestamp, 1);
@@ -792,6 +803,187 @@ TEST_F(ServeServiceTest, StatuszExtraIsServingMember) {
   ASSERT_NE(views, nullptr);
   EXPECT_NE(views->Find("q1"), nullptr);
   service->Drain();
+}
+
+// ------------------------------------------------------- shared graph stores
+
+// Views run on the service's stores instead of private replicas: each
+// view's streamed digest must equal a fresh one-shot of its program over
+// the graph of record at the batch's snapshot (symmetrized for symmetric
+// views).
+class SharedStoreTest : public ::testing::Test {
+ protected:
+  static constexpr VertexId kN = 32;
+
+  void SetUp() override {
+    scratch_ = ::testing::TempDir() + "/serve_shared_" +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(scratch_);
+    // One orientation per undirected pair, as symmetric views require.
+    Rng rng(71);
+    while (present_.size() < 64) {
+      VertexId u = static_cast<VertexId>(rng.Next() % kN);
+      VertexId v = static_cast<VertexId>(rng.Next() % kN);
+      if (u < v) present_.insert({u, v});
+    }
+    ServiceOptions opt;
+    opt.scratch_dir = scratch_;
+    opt.num_threads = 1;
+    opt.registry = &registry_;
+    auto service_or = Service::Create(
+        kN, std::vector<Edge>(present_.begin(), present_.end()), opt);
+    ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
+    service_ = std::move(service_or).value();
+  }
+
+  Response Register(const std::string& name, bool symmetric,
+                    const std::string& program = "wcc") {
+    Request req;
+    req.op = RequestOp::kRegister;
+    req.query = name;
+    req.program = program;
+    req.symmetric = symmetric;
+    Response ack = service_->Register(req, nullptr);
+    EXPECT_EQ(ack.type, ResponseType::kAck) << ack.message;
+    Request sub;
+    sub.op = RequestOp::kSubscribe;
+    sub.query = name;
+    service_->Subscribe(
+        sub,
+        [this, name](const Response& d) {
+          std::lock_guard<std::mutex> lock(mu_);
+          deltas_[name].push_back(d);
+          cv_.notify_all();
+        },
+        nullptr);
+    return ack;
+  }
+
+  /// Ingests one batch: one delete of a present pair, two inserts of
+  /// pairs absent before the batch.
+  void IngestBatch(Rng* rng) {
+    Request req;
+    req.op = RequestOp::kIngest;
+    auto it = present_.begin();
+    std::advance(it, rng->Next() % present_.size());
+    req.deletes.push_back(*it);
+    while (req.inserts.size() < 2) {
+      VertexId u = static_cast<VertexId>(rng->Next() % kN);
+      VertexId v = static_cast<VertexId>(rng->Next() % kN);
+      if (u < v && present_.insert({u, v}).second) req.inserts.push_back({u, v});
+    }
+    present_.erase(req.deletes.front());
+    Response ack = service_->Ingest(req);
+    ASSERT_EQ(ack.type, ResponseType::kAck) << ack.message;
+  }
+
+  void WaitForDeltas(const std::string& name, size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
+      return deltas_[name].size() >= count;
+    }));
+  }
+
+  /// Digest of a fresh one-shot of `program` over the graph of record at
+  /// snapshot `t`. Call after Drain.
+  uint64_t FreshDigest(const std::string& program, Timestamp t,
+                       bool symmetric) {
+    std::vector<Edge> edges;
+    DynamicGraphStore* primary = service_->primary();
+    EXPECT_TRUE(primary->MaterializeEdges(primary->pool(), t, &edges).ok());
+    if (symmetric) edges = SymmetrizeEdges(edges);
+    std::string source;
+    int supersteps = -1;
+    EXPECT_TRUE(NamedProgram(program, &source, &supersteps));
+    auto store = DynamicGraphStore::Create(
+        scratch_ + "/fresh" + std::to_string(fresh_++), kN, edges, {},
+        &GlobalMetrics());
+    EXPECT_TRUE(store.ok());
+    auto compiled = CompileProgram(source);
+    EXPECT_TRUE(compiled.ok());
+    EngineOptions opt;
+    opt.fixed_supersteps = supersteps;
+    opt.record_history = false;
+    opt.num_threads = 1;
+    Engine engine(store.value().get(), compiled.value().get(), opt);
+    EXPECT_TRUE(engine.RunOneShot(0).ok());
+    return engine.last_stats().state_digest;
+  }
+
+  std::string scratch_;
+  MetricsRegistry registry_;
+  std::set<Edge> present_;
+  std::unique_ptr<Service> service_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::string, std::vector<Response>> deltas_;
+  int fresh_ = 0;
+};
+
+TEST_F(SharedStoreTest, LateViewMatchesFreshOneShotAfterEveryBatch) {
+  Rng rng(72);
+  Response early = Register("early", false);
+  EXPECT_EQ(early.timestamp, 0);
+  for (int b = 0; b < 5; ++b) IngestBatch(&rng);
+  WaitForDeltas("early", 5);
+
+  Response late = Register("late", false);
+  EXPECT_EQ(late.timestamp, 0);
+  for (int b = 0; b < 6; ++b) IngestBatch(&rng);
+  service_->Drain();
+  EXPECT_EQ(late.digest, FreshDigest("wcc", 5, false));
+
+  std::lock_guard<std::mutex> lock(mu_);
+  ASSERT_EQ(deltas_["early"].size(), 11u);
+  ASSERT_EQ(deltas_["late"].size(), 6u);
+  for (const Response& d : deltas_["late"]) {
+    const Timestamp ts = static_cast<Timestamp>(d.seq);
+    EXPECT_EQ(d.timestamp, ts - 5);  // view-local: +1 per batch
+    EXPECT_EQ(d.digest, FreshDigest("wcc", ts, false)) << "batch " << ts;
+  }
+  for (const Response& d : deltas_["early"]) {
+    EXPECT_EQ(d.timestamp, static_cast<Timestamp>(d.seq));
+    EXPECT_EQ(d.digest, FreshDigest("wcc", d.timestamp, false));
+  }
+}
+
+TEST_F(SharedStoreTest, SymmetricAndDirectedViewsMatchTheirOwnOneShots) {
+  Rng rng(73);
+  Response directed = Register("directed", false);
+  Response symmetric = Register("symmetric", true);
+  for (int b = 0; b < 6; ++b) IngestBatch(&rng);
+  service_->Drain();
+  EXPECT_EQ(directed.digest, FreshDigest("wcc", 0, false));
+  EXPECT_EQ(symmetric.digest, FreshDigest("wcc", 0, true));
+
+  std::lock_guard<std::mutex> lock(mu_);
+  ASSERT_EQ(deltas_["directed"].size(), 6u);
+  ASSERT_EQ(deltas_["symmetric"].size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    const Response& d = deltas_["directed"][i];
+    const Response& sd = deltas_["symmetric"][i];
+    EXPECT_EQ(d.digest, FreshDigest("wcc", d.timestamp, false));
+    EXPECT_EQ(sd.digest, FreshDigest("wcc", sd.timestamp, true));
+    EXPECT_EQ(sd.batch_ops, 2 * d.batch_ops);  // mirrored ops
+  }
+}
+
+TEST_F(SharedStoreTest, ViewsCreateNoStoreFilesOfTheirOwn) {
+  Rng rng(74);
+  Register("a", false);
+  Register("b", false, "pr");
+  Register("c", true);
+  IngestBatch(&rng);
+  service_->Drain();
+  std::set<std::string> stores;
+  for (const auto& entry : std::filesystem::directory_iterator(scratch_)) {
+    const std::string file = entry.path().filename().string();
+    if (entry.path().extension() != ".pages") continue;
+    if (file.rfind("audit_", 0) == 0) continue;  // registration audits
+    stores.insert(file);
+  }
+  EXPECT_EQ(stores, (std::set<std::string>{"primary.pages",
+                                           "symmetric.pages"}));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# ThreadSanitizer job for the parallel executor: builds a separate tree
-# with -fsanitize=thread and runs the thread-pool, engine,
-# parallel-determinism and per-superstep-recompute tests with an
-# 8-worker pool so the work-stealing, shared-buffer-pool and
-# vertex-sharded Update/ΔUpdate paths actually race-test.
+# ThreadSanitizer job for the parallel executor and the serving layer:
+# builds a separate tree with -fsanitize=thread and runs the thread-pool,
+# engine, parallel-determinism, per-superstep-recompute and serve tests
+# with an 8-worker pool so the work-stealing, shared-buffer-pool,
+# vertex-sharded Update/ΔUpdate and register-while-ingesting paths (views
+# sharing one store and its buffer pool) actually race-test.
 #
 # Usage: tools/run_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -12,13 +13,13 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DITG_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$BUILD_DIR" -j --target \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   thread_pool_test parallel_determinism_test engine_test \
-  integration_incremental_test superstep_recompute_test
+  integration_incremental_test superstep_recompute_test serve_test
 
 # halt_on_error: fail the job on the first data race.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export ITG_THREADS=8
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(thread_pool|parallel_determinism|engine|integration_incremental|superstep_recompute)_test$'
+  -R '^(thread_pool|parallel_determinism|engine|integration_incremental|superstep_recompute|serve)_test$'
