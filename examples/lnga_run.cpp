@@ -15,6 +15,9 @@
 // Edge-list format: one "src dst" pair per line ('#' comments allowed).
 // Mutation-stream format: "+ src dst" / "- src dst" lines; a line
 // containing only "commit" ends a batch (one incremental run per batch).
+// With --symmetric every op is mirrored, so list one orientation per
+// edge; a batch that repeats an edge, inserts a present one or deletes an
+// absent one stops the run with exit code 1.
 //
 // --watch N switches to continuous ingestion: after the one-shot run (and
 // any --mutations batches) the driver keeps generating N synthetic
@@ -344,6 +347,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every batch is validated against the store's live edge set before it
+  // is applied (the store's degree bookkeeping assumes valid batches).
+  // With --symmetric the mirrored batch is checked against the mirrored
+  // graph, so a stream must list one orientation per edge.
+  LiveEdgeSet live(num_vertices, edges);
+
   auto dir = std::filesystem::temp_directory_path() / "itg_lnga_run";
   std::filesystem::create_directories(dir);
   auto store_or = DynamicGraphStore::Create((dir / "store").string(),
@@ -408,7 +417,8 @@ int main(int argc, char** argv) {
   PrintResults(engine, *program, num_vertices, args);
 
   Timestamp t = 0;
-  for (auto& batch : mutation_batches) {
+  for (size_t b = 0; b < mutation_batches.size(); ++b) {
+    std::vector<EdgeDelta>& batch = mutation_batches[b];
     if (args.symmetric) {
       std::vector<EdgeDelta> sym;
       for (const EdgeDelta& d : batch) {
@@ -416,6 +426,11 @@ int main(int argc, char** argv) {
         sym.push_back({{d.edge.dst, d.edge.src}, d.mult});
       }
       batch = std::move(sym);
+    }
+    if (Status s = live.Apply(batch, nullptr); !s.ok()) {
+      std::fprintf(stderr, "mutation batch %zu of %s: %s\n", b + 1,
+                   args.mutations.c_str(), s.ToString().c_str());
+      return 1;
     }
     auto ts = store->ApplyMutations(batch);
     if (!ts.ok()) {
@@ -447,9 +462,10 @@ int main(int argc, char** argv) {
     std::mt19937_64 rng(0x17506b9u);
     std::uniform_int_distribution<VertexId> pick(0, num_vertices - 1);
     // The store's degree bookkeeping assumes insertions target absent
-    // edges and deletions present ones, so track the live edge set and
-    // resample colliding picks instead of violating the invariant.
-    std::unordered_set<Edge, EdgeHash> present(edges.begin(), edges.end());
+    // edges and deletions present ones, so track the live edge set (the
+    // --mutations batches included) and resample colliding picks instead
+    // of violating the invariant.
+    std::unordered_set<Edge, EdgeHash> present = live.edges();
     std::vector<Edge> inserted;
     for (int b = 0; b < args.watch; ++b) {
       if (CleanStopRequested()) {

@@ -13,6 +13,7 @@ namespace itg {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
+  kOutOfRange,
   kNotFound,
   kAlreadyExists,
   kOutOfMemory,
@@ -33,6 +34,9 @@ class Status {
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
+  }
+  static Status OutOfRange(std::string msg) {
+    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
@@ -83,6 +87,7 @@ class Status {
     switch (code) {
       case StatusCode::kOk: return "OK";
       case StatusCode::kInvalidArgument: return "InvalidArgument";
+      case StatusCode::kOutOfRange: return "OutOfRange";
       case StatusCode::kNotFound: return "NotFound";
       case StatusCode::kAlreadyExists: return "AlreadyExists";
       case StatusCode::kOutOfMemory: return "OutOfMemory";

@@ -22,6 +22,12 @@ namespace {
 // The superstep timeline's cpu column uses the shared ThreadCpuNanos()
 // from common/resource_scope.h (via engine.h -> memory_budget.h).
 
+/// Superstep cap of runs without fixed_supersteps (a safety bound; the
+/// builtin programs converge well below it).
+constexpr Superstep kMaxSupersteps = 500;
+/// Interconnect bandwidth of the distributed time model.
+constexpr double kNetworkBytesPerSecond = 1.0e9;
+
 /// Marks a run live on GlobalLiveStatus for the enclosing scope; EndRun
 /// fires on every exit path, error returns included. A non-empty
 /// query_label (EngineOptions::query_label) retags the live query first —
@@ -42,6 +48,27 @@ void MaybeInjectStall(const EngineOptions& options, Superstep s) {
   if (options.debug_stall_first_superstep_ms == 0 || s != 0) return;
   std::this_thread::sleep_for(
       std::chrono::milliseconds(options.debug_stall_first_superstep_ms));
+}
+
+/// Evaluates one emission occurrence whose row is bound in `ctx`: counts
+/// the tuple (by the sign of `mult`) and the guard/value expression nodes
+/// into the emission's Map counters `map`, then, unless a guard rejects
+/// the row, writes the value expanded to `emission.width` doubles into
+/// `values` (kMaxAttrWidth of them) and returns true. Pure w.r.t. engine
+/// state (workers call it).
+bool EvaluateEmission(const Emission& emission, int mult, EvalContext* ctx,
+                      gsa::OperatorCounters* map, double* values) {
+  (mult > 0 ? map->in_pos : map->in_neg) += 1;
+  ctx->eval_counter = &map->evals;
+  for (const auto& [cond, expected] : emission.guards) {
+    if (EvaluateBool(*cond, *ctx) != expected) return false;
+  }
+  Evaluate(*emission.value, *ctx, values);
+  (mult > 0 ? map->out_pos : map->out_neg) += 1;
+  if (emission.value->type.width == 1) {
+    std::fill(values + 1, values + emission.width, values[0]);
+  }
+  return true;
 }
 
 /// Attributes that are derived from the graph structure (filled per
@@ -199,9 +226,8 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
                                 Metrics::kMaxTrackedThreads)
                      : ThreadPool::DefaultThreads();
   if (options_.lineage) {
-    // Provenance tagging hooks the sequential emission sink; force the
-    // byte-for-byte sequential path so every applied emission passes
-    // through it.
+    // Provenance is the apply sink's lineage tail, which needs the walk
+    // row at apply time: only the inline driver has it.
     num_threads_ = 1;
     lineage_ = std::make_unique<LineageTracker>(store_->num_vertices());
   }
@@ -379,33 +405,6 @@ void Engine::PublishColumnMemory() {
       static_cast<int64_t>(cur_cols_.ByteSize() + prev_cols_.ByteSize()));
 }
 
-void Engine::RecordSuperstep(Superstep s, gsa::SuperstepMode mode,
-                             const SuperstepCost& cost,
-                             uint64_t active_vertices, uint64_t frontier,
-                             uint64_t emissions0, uint64_t windows0,
-                             uint64_t edges0, uint64_t wall0_nanos,
-                             uint64_t cpu0_nanos,
-                             const std::vector<uint64_t>& shuffle0) {
-  gsa::SuperstepProfile row;
-  row.superstep = s;
-  row.mode = mode;
-  row.delta_cost = cost.delta_edges;
-  row.recompute_cost = cost.recompute_edges;
-  row.active_vertices = active_vertices;
-  row.frontier = frontier;
-  row.emissions = stats_.emissions_applied - emissions0;
-  row.windows = enumerator_.windows_loaded() - windows0;
-  row.edges = enumerator_.edges_scanned() - edges0;
-  row.wall_nanos = TraceNowNanos() - wall0_nanos;
-  row.cpu_nanos = ThreadCpuNanos() - cpu0_nanos;
-  std::vector<uint64_t> shuffle = ShuffleSnapshot();
-  for (size_t m = 0; m < shuffle.size(); ++m) {
-    if (m < shuffle0.size()) shuffle[m] -= shuffle0[m];
-  }
-  row.shuffle_bytes = std::move(shuffle);
-  profile_.supersteps().push_back(std::move(row));
-}
-
 void Engine::ResetMachineStats() {
   machine_stats_.assign(
       static_cast<size_t>(std::max(1, options_.num_partitions)),
@@ -417,7 +416,7 @@ double Engine::SimulatedDistributedSeconds() const {
   double worst = 0;
   for (const MachineStats& m : machine_stats_) {
     worst = std::max(worst, m.seconds + static_cast<double>(m.network_bytes) /
-                                            options_.network_bytes_per_second);
+                                            kNetworkBytesPerSecond);
   }
   return worst;
 }
@@ -539,46 +538,6 @@ std::vector<VertexId> Engine::ActiveList(const ColumnSet& cols) const {
   return active;
 }
 
-void Engine::ApplyEmission(const Emission& emission, const VertexId* row,
-                           int row_len, int mult, const ColumnSet& eval_cols,
-                           const std::vector<std::vector<double>>& eval_globals,
-                           Timestamp t) {
-  // All call sites pass elements of the program's emission vector, so the
-  // emission's index (for the cached profile cells) is positional.
-  const size_t ei = static_cast<size_t>(
-      &emission - program_->traverse.emissions.data());
-  gsa::OperatorCounters* map_cell =
-      ei < emission_map_cells_.size() ? emission_map_cells_[ei] : nullptr;
-  EvalContext ctx;
-  ctx.columns = &eval_cols;
-  ctx.globals = &eval_globals;
-  ctx.num_vertices = static_cast<double>(store_->num_vertices());
-  ctx.num_edges = static_cast<double>(store_->num_edges(t));
-  ctx.row = row;
-  ctx.row_len = row_len;
-  if (map_cell != nullptr) {
-    (mult > 0 ? map_cell->in_pos : map_cell->in_neg) += 1;
-    ctx.eval_counter = &map_cell->evals;
-  }
-  for (const auto& [cond, expected] : emission.guards) {
-    if (EvaluateBool(*cond, ctx) != expected) return;
-  }
-  std::array<double, kMaxAttrWidth> value{};
-  Evaluate(*emission.value, ctx, value.data());
-  if (map_cell != nullptr) {
-    (mult > 0 ? map_cell->out_pos : map_cell->out_neg) += 1;
-  }
-  const int value_width = emission.value->type.width;
-  std::array<double, kMaxAttrWidth> expanded{};
-  for (int i = 0; i < emission.width; ++i) {
-    expanded[static_cast<size_t>(i)] =
-        (value_width == 1) ? value[0] : value[static_cast<size_t>(i)];
-  }
-  const VertexId target =
-      emission.is_global ? 0 : row[emission.target_depth];
-  ApplyEmissionValue(emission, target, expanded.data(), mult);
-}
-
 void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
                                 const double* values, int mult) {
   const lang::AccmOp op = emission.op;
@@ -679,65 +638,80 @@ void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
 }
 
 // ---------------------------------------------------------------------------
-// Walk-job execution (sequential or thread-pooled)
+// Walk-job execution: one emission path, two drivers
 // ---------------------------------------------------------------------------
 
-WalkSink Engine::MakeApplySink(const WalkJob& job) {
-  if (lineage_ == nullptr) {
-    return [this, &job](const VertexId* row, int depth, int mult) {
-      if (depth < job.min_emit_depth) return;
-      for (const Emission& e : program_->traverse.emissions) {
-        if (e.stmt_depth != depth) continue;
-        if (job.monoid_only) {
-          if (e.is_global || !IsAccmMonoid(e.target)) continue;
-          const std::vector<uint8_t>& marks =
-              (*job.target_marks)[static_cast<size_t>(e.target)];
-          if (marks.empty() ||
-              !marks[static_cast<size_t>(row[e.target_depth])]) {
-            continue;
-          }
-        }
-        ApplyEmission(e, row, depth + 1, job.mult_sign * mult, *job.eval_cols,
-                      *job.eval_globals, job.eval_t);
-      }
-    };
-  }
-  // Lineage mode (sequential by construction): after each emission that
-  // actually applied (guards passed), the target absorbs the walk start's
-  // provenance set, plus the id of the delta edge the walk crossed when
-  // this is a q_es_p sub-query.
-  return [this, &job](const VertexId* row, int depth, int mult) {
-    if (depth < job.min_emit_depth) return;
-    for (const Emission& e : program_->traverse.emissions) {
-      if (e.stmt_depth != depth) continue;
-      if (job.monoid_only) {
-        if (e.is_global || !IsAccmMonoid(e.target)) continue;
-        const std::vector<uint8_t>& marks =
-            (*job.target_marks)[static_cast<size_t>(e.target)];
-        if (marks.empty() ||
-            !marks[static_cast<size_t>(row[e.target_depth])]) {
-          continue;
-        }
-      }
-      const uint64_t applied0 = stats_.emissions_applied;
-      ApplyEmission(e, row, depth + 1, job.mult_sign * mult, *job.eval_cols,
-                    *job.eval_globals, job.eval_t);
-      if (e.is_global || stats_.emissions_applied == applied0) continue;
-      int64_t delta_id = -1;
-      if (job.delta_level > 0 && depth >= job.delta_level) {
-        // The walk crossed ΔE between positions p-1 and p; translate the
-        // traversal step into the stored (kOut) orientation for lookup.
-        const int p = job.delta_level;
-        const Direction dir =
-            program_->traverse.levels[static_cast<size_t>(p - 1)].dir;
-        const Edge stored = (dir == Direction::kOut)
-                                ? Edge{row[p - 1], row[p]}
-                                : Edge{row[p], row[p - 1]};
-        delta_id = lineage_->DeltaEdgeId(stored);
-      }
-      lineage_->OnEmission(row[0], row[e.target_depth], delta_id);
+Engine::JobEmitter Engine::MakeEmitter(const WalkJob& job) const {
+  JobEmitter emitter;
+  emitter.ctx.columns = job.eval_cols;
+  emitter.ctx.globals = job.eval_globals;
+  emitter.ctx.num_vertices = static_cast<double>(store_->num_vertices());
+  emitter.ctx.num_edges = static_cast<double>(store_->num_edges(job.eval_t));
+  emitter.map.resize(program_->traverse.emissions.size());
+  return emitter;
+}
+
+void Engine::MergeMapCounters(
+    const std::vector<gsa::OperatorCounters>& map) {
+  for (size_t ei = 0; ei < map.size(); ++ei) {
+    if (emission_map_cells_[ei] != nullptr) {
+      emission_map_cells_[ei]->Merge(map[ei]);
     }
-  };
+  }
+}
+
+template <typename Apply>
+void Engine::EmitRow(const WalkJob& job, JobEmitter* emitter,
+                     const VertexId* row, int depth, int mult,
+                     Apply&& apply) const {
+  if (depth < job.min_emit_depth) return;
+  const std::vector<Emission>& emissions = program_->traverse.emissions;
+  const int signed_mult = job.mult_sign * mult;
+  for (size_t ei = 0; ei < emissions.size(); ++ei) {
+    const Emission& e = emissions[ei];
+    if (e.stmt_depth != depth) continue;
+    if (job.monoid_only) {
+      if (e.is_global || !IsAccmMonoid(e.target)) continue;
+      const std::vector<uint8_t>& marks =
+          (*job.target_marks)[static_cast<size_t>(e.target)];
+      if (marks.empty() ||
+          !marks[static_cast<size_t>(row[e.target_depth])]) {
+        continue;
+      }
+    }
+    emitter->ctx.row = row;
+    emitter->ctx.row_len = depth + 1;
+    std::array<double, kMaxAttrWidth> values{};
+    if (!EvaluateEmission(e, signed_mult, &emitter->ctx, &emitter->map[ei],
+                          values.data())) {
+      continue;
+    }
+    apply(e, e.is_global ? 0 : row[e.target_depth], values.data(),
+          signed_mult);
+  }
+}
+
+void Engine::ApplyRow(const WalkJob& job, JobEmitter* emitter,
+                      const VertexId* row, int depth, int mult) {
+  EmitRow(job, emitter, row, depth, mult,
+          [&](const Emission& e, VertexId target, const double* values,
+              int signed_mult) {
+            ApplyEmissionValue(e, target, values, signed_mult);
+            if (lineage_ == nullptr || e.is_global) return;
+            int64_t delta_id = -1;
+            if (job.delta_level > 0 && depth >= job.delta_level) {
+              // The walk crossed ΔE between positions p-1 and p; translate
+              // the traversal step into the stored (kOut) orientation.
+              const int p = job.delta_level;
+              const Direction dir =
+                  program_->traverse.levels[static_cast<size_t>(p - 1)].dir;
+              const Edge stored = (dir == Direction::kOut)
+                                      ? Edge{row[p - 1], row[p]}
+                                      : Edge{row[p], row[p - 1]};
+              delta_id = lineage_->DeltaEdgeId(stored);
+            }
+            lineage_->OnEmission(row[0], target, delta_id);
+          });
 }
 
 Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
@@ -747,11 +721,13 @@ Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
     num_tasks += (job.starts.size() + block - 1) / block;
   }
   TraceSpan span("walk", "engine", static_cast<int64_t>(num_tasks));
-  // The parallel path requires: a pool worth waking, a program whose
-  // traverse-level expressions never read accumulator state (so walk
-  // evaluation commutes with emission application), and the plain
-  // single-machine mode (the distributed simulation times machines
-  // sequentially on purpose).
+  // Both drivers evaluate through EmitRow and accumulate through
+  // ApplyEmissionValue in the same order; they differ only in when a
+  // value is applied. The pooled driver defers it, which requires a pool
+  // worth waking, a program whose traverse-level expressions never read
+  // accumulator state (so evaluation commutes with application), and the
+  // plain single-machine mode (the distributed simulation times machines
+  // one after another on purpose). Lineage runs at one thread.
   if (num_threads_ > 1 && parallel_safe_ && options_.num_partitions <= 1 &&
       num_tasks >= 2) {
     return RunWalkJobsParallel(jobs, num_tasks);
@@ -760,39 +736,32 @@ Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
 }
 
 Status Engine::RunWalkJobsSequential(const std::vector<WalkJob>& jobs) {
-  const double n = static_cast<double>(store_->num_vertices());
+  // Accumulate is fused into the sink, so its trace span cannot be a
+  // contiguous interval: while tracing, the sink is metered and one span
+  // per job is synthesized, anchored at the job start.
+  const bool traced = Tracer::enabled();
   for (const WalkJob& job : jobs) {
-    enumerator_.SetEvalBase(
-        job.eval_cols, job.eval_globals, n,
-        static_cast<double>(store_->num_edges(job.eval_t)));
-    WalkSink sink = MakeApplySink(job);
-    if (Tracer::enabled()) {
-      // The sequential path fuses Accumulate into the emission sink, so
-      // its span cannot be a contiguous interval; meter the sink and emit
-      // one synthesized span per job, anchored at the job start. The
-      // wrapper only exists while tracing so the fast path is unchanged.
-      uint64_t accumulate_nanos = 0;
-      WalkSink timed = [&](const VertexId* row, int depth, int mult) {
-        const uint64_t t0 = TraceNowNanos();
-        sink(row, depth, mult);
-        accumulate_nanos += TraceNowNanos() - t0;
-      };
-      const uint64_t job_start = TraceNowNanos();
-      ITG_RETURN_IF_ERROR(PartitionedEnumerate(
-          job.starts, [&](const std::vector<VertexId>& part) {
-            return enumerator_.Enumerate(part, job.streams, job.current_t,
-                                         job.previous_t, job.level_allow,
-                                         job.max_depth, timed);
-          }));
-      TraceCompleteEvent("accumulate", "engine", job_start, accumulate_nanos);
-      continue;
-    }
-    ITG_RETURN_IF_ERROR(PartitionedEnumerate(
+    JobEmitter emitter = MakeEmitter(job);
+    enumerator_.SetEvalBase(job.eval_cols, job.eval_globals,
+                            emitter.ctx.num_vertices, emitter.ctx.num_edges);
+    const uint64_t job_start = traced ? TraceNowNanos() : 0;
+    uint64_t accumulate_nanos = 0;
+    WalkSink sink = [&](const VertexId* row, int depth, int mult) {
+      const uint64_t t0 = traced ? TraceNowNanos() : 0;
+      ApplyRow(job, &emitter, row, depth, mult);
+      if (traced) accumulate_nanos += TraceNowNanos() - t0;
+    };
+    Status status = PartitionedEnumerate(
         job.starts, [&](const std::vector<VertexId>& part) {
           return enumerator_.Enumerate(part, job.streams, job.current_t,
                                        job.previous_t, job.level_allow,
                                        job.max_depth, sink);
-        }));
+        });
+    MergeMapCounters(emitter.map);
+    ITG_RETURN_IF_ERROR(status);
+    if (traced) {
+      TraceCompleteEvent("accumulate", "engine", job_start, accumulate_nanos);
+    }
   }
   return Status::OK();
 }
@@ -800,15 +769,15 @@ Status Engine::RunWalkJobsSequential(const std::vector<WalkJob>& jobs) {
 Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
                                    size_t num_tasks) {
   // Workers only *evaluate*: each task enumerates one window-sized block
-  // of one job's start list and logs (emission, target, mult, value)
-  // records. The calling thread then replays the records in task order —
-  // job-major, block-minor, which is exactly the order the sequential
-  // path applies them in, because Enumerate itself processes starts in
-  // window-sized blocks. Replay performs every accumulator mutation, so
-  // floating-point accumulation order (and hence the result) is
-  // bit-identical to threads=1.
+  // of one job's start list through EmitRow and logs (emission, target,
+  // mult, value) records. The calling thread then replays the records in
+  // task order — job-major, block-minor, which is exactly the order the
+  // inline driver applies them in, because Enumerate itself processes
+  // starts in window-sized blocks. Replay performs every accumulator
+  // mutation, so floating-point accumulation order (and hence the result)
+  // is bit-identical to threads=1.
   struct EmissionRecord {
-    int emission;
+    int emission;  // index into the program's emissions
     int mult;
     VertexId target;
   };
@@ -822,7 +791,7 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
     // EXPLAIN ANALYZE: per-emission Map counters (guard/value evals and
     // tuple in/out) and per-level walk counters, evaluated on the worker
     // and folded in on the calling thread. Integer sums are order-
-    // independent, so the merged profile matches the sequential path.
+    // independent, so the merged profile matches the inline driver's.
     std::vector<gsa::OperatorCounters> map_counters;
     std::vector<WalkEnumerator::LevelCounts> levels;
     uint64_t starts = 0;
@@ -838,14 +807,13 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
         std::make_unique<ThreadPool>(num_threads_, store_->metrics());
   }
 
-  const double n = static_cast<double>(store_->num_vertices());
   const size_t block = static_cast<size_t>(options_.window_vertices);
   std::vector<TaskSpec> tasks;
   tasks.reserve(num_tasks);
-  std::vector<double> job_num_edges(jobs.size(), 0.0);
+  std::vector<JobEmitter> emitters;
+  emitters.reserve(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
-    job_num_edges[j] =
-        static_cast<double>(store_->num_edges(jobs[j].eval_t));
+    emitters.push_back(MakeEmitter(jobs[j]));
     for (size_t b = 0; b < jobs[j].starts.size(); b += block) {
       tasks.push_back({j, b, std::min(jobs[j].starts.size(), b + block)});
     }
@@ -868,54 +836,20 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
     const TaskSpec& spec = tasks[ti];
     const WalkJob& job = jobs[spec.job];
     TaskResult& out = results[ti];
-    out.map_counters.resize(emissions.size());
+    JobEmitter emitter = emitters[spec.job];  // task-private counters
     WalkEnumerator& we = *workers[static_cast<size_t>(w)];
-    we.SetEvalBase(job.eval_cols, job.eval_globals, n,
-                   job_num_edges[spec.job]);
-    EvalContext ctx;
-    ctx.columns = job.eval_cols;
-    ctx.globals = job.eval_globals;
-    ctx.num_vertices = n;
-    ctx.num_edges = job_num_edges[spec.job];
+    we.SetEvalBase(job.eval_cols, job.eval_globals,
+                   emitter.ctx.num_vertices, emitter.ctx.num_edges);
     WalkSink sink = [&](const VertexId* row, int depth, int mult) {
-      if (depth < job.min_emit_depth) return;
-      for (size_t ei = 0; ei < emissions.size(); ++ei) {
-        const Emission& e = emissions[ei];
-        if (e.stmt_depth != depth) continue;
-        if (job.monoid_only) {
-          if (e.is_global || !IsAccmMonoid(e.target)) continue;
-          const std::vector<uint8_t>& marks =
-              (*job.target_marks)[static_cast<size_t>(e.target)];
-          if (marks.empty() ||
-              !marks[static_cast<size_t>(row[e.target_depth])]) {
-            continue;
-          }
-        }
-        ctx.row = row;
-        ctx.row_len = depth + 1;
-        gsa::OperatorCounters& map_c = out.map_counters[ei];
-        const int signed_mult = job.mult_sign * mult;
-        (signed_mult > 0 ? map_c.in_pos : map_c.in_neg) += 1;
-        ctx.eval_counter = &map_c.evals;
-        bool pass = true;
-        for (const auto& [cond, expected] : e.guards) {
-          if (EvaluateBool(*cond, ctx) != expected) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        std::array<double, kMaxAttrWidth> value{};
-        Evaluate(*e.value, ctx, value.data());
-        (signed_mult > 0 ? map_c.out_pos : map_c.out_neg) += 1;
-        const int vw = e.value->type.width;
-        out.records.push_back({static_cast<int>(ei), job.mult_sign * mult,
-                               e.is_global ? 0 : row[e.target_depth]});
-        for (int i = 0; i < e.width; ++i) {
-          out.values.push_back(vw == 1 ? value[0]
-                                       : value[static_cast<size_t>(i)]);
-        }
-      }
+      EmitRow(job, &emitter, row, depth, mult,
+              [&](const Emission& e, VertexId target, const double* values,
+                  int signed_mult) {
+                out.records.push_back(
+                    {static_cast<int>(&e - emissions.data()), signed_mult,
+                     target});
+                out.values.insert(out.values.end(), values,
+                                  values + e.width);
+              });
     };
     const uint64_t windows0 = we.windows_loaded();
     const uint64_t edges0 = we.edges_scanned();
@@ -933,6 +867,7 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
     out.edges = we.edges_scanned() - edges0;
     out.pruned = we.walks_pruned() - pruned0;
     out.starts = we.starts_enumerated() - starts0;
+    out.map_counters = std::move(emitter.map);
     out.levels = we.level_counts();
     for (size_t i = 0; i < out.levels.size() && i < levels0.size(); ++i) {
       out.levels[i].windows -= levels0[i].windows;
@@ -959,29 +894,12 @@ Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
     }
     enumerator_.AddCounts(r.windows, r.edges, r.pruned);
     enumerator_.AddLevelCounts(r.levels, r.starts);
-    for (size_t ei = 0; ei < r.map_counters.size(); ++ei) {
-      if (ei < emission_map_cells_.size() &&
-          emission_map_cells_[ei] != nullptr) {
-        emission_map_cells_[ei]->Merge(r.map_counters[ei]);
-      }
-    }
+    MergeMapCounters(r.map_counters);
     // A failing task aborts after its own partial records, mirroring the
-    // sequential path's mid-stream error behavior.
+    // inline driver's mid-stream error behavior.
     if (!r.status.ok()) return r.status;
   }
   return Status::OK();
-}
-
-void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0) {
-  stats_.threads = (num_threads_ > 1 &&
-                    (parallel_safe_ || update_parallel_safe_) &&
-                    options_.num_partitions <= 1)
-                       ? num_threads_
-                       : 1;
-  if (pool_threads_ != nullptr) {
-    stats_.steals = pool_threads_->steals() - steals0;
-    stats_.busy_nanos = pool_threads_->total_busy_nanos() - busy0;
-  }
 }
 
 void Engine::MarkRecompute(int attr, VertexId v) {
@@ -1229,110 +1147,175 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
 }
 
 // ---------------------------------------------------------------------------
+// Run and superstep frames
+// ---------------------------------------------------------------------------
+
+struct Engine::RunFrame {
+  RunFrame(Engine* engine, const char* phase, Timestamp t, bool incremental)
+      : engine(engine),
+        t(t),
+        span(phase, "engine", t),
+        live_run(phase, t, engine->options_.query_label),
+        read0(engine->store_->metrics()->read_bytes()),
+        write0(engine->store_->metrics()->write_bytes()),
+        windows0(engine->enumerator_.windows_loaded()),
+        scans0(engine->enumerator_.edges_scanned()),
+        pruned0(engine->enumerator_.walks_pruned()),
+        steals0(engine->pool_threads_ ? engine->pool_threads_->steals() : 0),
+        busy0(engine->pool_threads_
+                  ? engine->pool_threads_->total_busy_nanos()
+                  : 0),
+        walk0(engine->enumerator_.level_counts()),
+        starts0(engine->enumerator_.starts_enumerated()) {
+    engine->stats_ = RunStats{};
+    engine->stats_.timestamp = t;
+    engine->stats_.incremental = incremental;
+    engine->profile_.ResetCounters();
+    engine->ResetMachineStats();
+    engine->degree_cache_.clear();
+  }
+
+  void Finish(Superstep supersteps) {
+    engine->FoldWalkCounters(walk0, starts0);
+    engine->PublishStateDigest(t);
+    engine->last_run_t_ = t;
+    engine->prev_supersteps_ = supersteps;
+    RunStats& stats = engine->stats_;
+    const WalkEnumerator& walk = engine->enumerator_;
+    const Metrics& metrics = *engine->store_->metrics();
+    stats.supersteps = supersteps;
+    stats.windows_loaded = walk.windows_loaded() - windows0;
+    stats.edges_scanned = walk.edges_scanned() - scans0;
+    stats.delta_walks_pruned = walk.walks_pruned() - pruned0;
+    stats.seconds = watch.ElapsedSeconds();
+    stats.read_bytes = metrics.read_bytes() - read0;
+    stats.write_bytes = metrics.write_bytes() - write0;
+    // Thread scaling: the threads the run was allowed, pool deltas.
+    stats.threads = (engine->num_threads_ > 1 &&
+                     (engine->parallel_safe_ ||
+                      engine->update_parallel_safe_) &&
+                     engine->options_.num_partitions <= 1)
+                        ? engine->num_threads_
+                        : 1;
+    if (engine->pool_threads_ != nullptr) {
+      stats.steals = engine->pool_threads_->steals() - steals0;
+      stats.busy_nanos = engine->pool_threads_->total_busy_nanos() - busy0;
+    }
+  }
+
+  Engine* engine;
+  Timestamp t;
+  TraceSpan span;
+  LiveRunScope live_run;
+  Stopwatch watch;
+  uint64_t read0, write0, windows0, scans0, pruned0, steals0, busy0;
+  std::vector<WalkEnumerator::LevelCounts> walk0;
+  uint64_t starts0;
+};
+
+Status Engine::RunSupersteps(Superstep min_supersteps,
+                             const SuperstepBody& body,
+                             Superstep* supersteps) {
+  PublishColumnMemory();
+  Superstep& s = *supersteps;
+  for (s = 0; s < kMaxSupersteps && (options_.fixed_supersteps < 0 ||
+                                     s < options_.fixed_supersteps);
+       ++s) {
+    TraceSpan superstep_span("superstep", "engine", s);
+    std::vector<VertexId> active = ActiveList(cur_cols_);
+    if (active.empty() && s >= min_supersteps) break;
+    GlobalLiveStatus().BeginSuperstep(s);
+    MaybeInjectStall(options_, s);
+    const std::vector<double> seconds0 = MachineSecondsSnapshot();
+    const uint64_t emissions0 = stats_.emissions_applied;
+    const uint64_t windows0 = enumerator_.windows_loaded();
+    const uint64_t edges0 = enumerator_.edges_scanned();
+    const uint64_t wall0 = TraceNowNanos();
+    const uint64_t cpu0 = ThreadCpuNanos();
+    const std::vector<uint64_t> shuffle0 = ShuffleSnapshot();
+    remote_seen_.clear();
+    ClearRecomputeState();
+
+    SuperstepOutcome outcome;
+    ITG_RETURN_IF_ERROR(body(s, std::move(active), &outcome));
+
+    gsa::SuperstepProfile row;
+    row.superstep = s;
+    row.mode = outcome.mode;
+    row.delta_cost = outcome.cost.delta_edges;
+    row.recompute_cost = outcome.cost.recompute_edges;
+    row.active_vertices = outcome.active_vertices;
+    row.frontier = outcome.frontier;
+    row.emissions = stats_.emissions_applied - emissions0;
+    row.windows = enumerator_.windows_loaded() - windows0;
+    row.edges = enumerator_.edges_scanned() - edges0;
+    row.wall_nanos = TraceNowNanos() - wall0;
+    row.cpu_nanos = ThreadCpuNanos() - cpu0;
+    row.shuffle_bytes = ShuffleSnapshot();
+    for (size_t m = 0; m < row.shuffle_bytes.size(); ++m) {
+      if (m < shuffle0.size()) row.shuffle_bytes[m] -= shuffle0[m];
+    }
+    profile_.supersteps().push_back(std::move(row));
+    PublishSuperstepTelemetry(seconds0);
+    GlobalLiveStatus().EndSuperstep();
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // One-shot execution
 // ---------------------------------------------------------------------------
 
 Status Engine::RunOneShot(Timestamp t) {
-  TraceSpan run_span("oneshot", "engine", t);
-  LiveRunScope live_run("oneshot", t, options_.query_label);
-  Stopwatch watch;
-  Metrics& metrics = *store_->metrics();
-  const uint64_t read0 = metrics.read_bytes();
-  const uint64_t write0 = metrics.write_bytes();
-  stats_ = RunStats{};
-  stats_.timestamp = t;
+  RunFrame frame(this, "oneshot", t, /*incremental=*/false);
   history_base_ = t;
-  const uint64_t windows0 = enumerator_.windows_loaded();
-  const uint64_t scans0 = enumerator_.edges_scanned();
-  const uint64_t pruned0 = enumerator_.walks_pruned();
-  const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
-  const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  profile_.ResetCounters();
-  const std::vector<WalkEnumerator::LevelCounts> walk_base =
-      enumerator_.level_counts();
-  const uint64_t starts_base = enumerator_.starts_enumerated();
-
   const VertexId n = store_->num_vertices();
-  ResetMachineStats();
   cur_cols_.Init(n, all_widths_);
   InitGlobals(&cur_globals_);
-  degree_cache_.clear();
   FillDegreeColumns(&cur_cols_, t);
   RunInitialize(&cur_cols_, &cur_globals_, t);
 
   BlockRecords accm_records;
   BlockRecords attr_records;
+  Superstep supersteps = 0;
+  ITG_RETURN_IF_ERROR(RunSupersteps(
+      0,
+      [&](Superstep s, std::vector<VertexId> active,
+          SuperstepOutcome* out) -> Status {
+        out->active_vertices = active.size();
+        out->frontier = active.size();
+        // One-shot starts: the Filter over `vs` admits exactly the active
+        // set.
+        RecordStartFilter(static_cast<uint64_t>(n), active.size());
+        ResetAccumulators(&cur_cols_);
+        ITG_RETURN_IF_ERROR(RunCurrentWalk(t, std::move(active)));
 
-  PublishColumnMemory();
-  Superstep s = 0;
-  while (s < options_.max_supersteps &&
-         (options_.fixed_supersteps < 0 || s < options_.fixed_supersteps)) {
-    TraceSpan superstep_span("superstep", "engine", s);
-    std::vector<VertexId> active = ActiveList(cur_cols_);
-    if (active.empty()) break;
-    GlobalLiveStatus().BeginSuperstep(s);
-    MaybeInjectStall(options_, s);
-    const std::vector<double> ss_seconds0 = MachineSecondsSnapshot();
-    const uint64_t ss_emissions0 = stats_.emissions_applied;
-    const uint64_t ss_windows0 = enumerator_.windows_loaded();
-    const uint64_t ss_edges0 = enumerator_.edges_scanned();
-    const uint64_t ss_wall0 = TraceNowNanos();
-    const uint64_t ss_cpu0 = ThreadCpuNanos();
-    const std::vector<uint64_t> ss_shuffle0 = ShuffleSnapshot();
-    const uint64_t active_size = active.size();
-    // One-shot starts: the Filter over `vs` admits exactly the active set.
-    RecordStartFilter(static_cast<uint64_t>(n), active_size);
-    ResetAccumulators(&cur_cols_);
-    ClearRecomputeState();
-    remote_seen_.clear();
-    ITG_RETURN_IF_ERROR(RunCurrentWalk(t, std::move(active)));
-
-    if (options_.record_history) {
-      // Accumulator files: after-images of touched vertices (V_accm).
-      const std::vector<int>& accm = AccmFileAttrs();
-      ResetRecords(&accm_records, 1, accm.size());
-      const double* contribs = cur_cols_.Column(contribs_attr_).data();
-      for (VertexId v = 0; v < n; ++v) {
-        if (contribs[v] <= 0.0) continue;
-        for (size_t i = 0; i < accm.size(); ++i) {
-          accm_records[0][i].Append(v, cur_cols_.Cell(accm[i], v),
-                                    cur_cols_.width(accm[i]));
+        if (options_.record_history) {
+          // Accumulator files: after-images of touched vertices (V_accm).
+          const std::vector<int>& accm = AccmFileAttrs();
+          ResetRecords(&accm_records, 1, accm.size());
+          const double* contribs = cur_cols_.Column(contribs_attr_).data();
+          for (VertexId v = 0; v < n; ++v) {
+            if (contribs[v] <= 0.0) continue;
+            for (size_t i = 0; i < accm.size(); ++i) {
+              accm_records[0][i].Append(v, cur_cols_.Cell(accm[i], v),
+                                        cur_cols_.width(accm[i]));
+            }
+          }
+          ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, accm, accm_records));
         }
-      }
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, accm, accm_records));
-    }
 
-    // Attribute files: cells Update changed from A_{t,s}.
-    RunUpdatePass(t, /*domain=*/nullptr, /*prev=*/nullptr,
-                  options_.record_history ? &attr_records : nullptr);
-    if (options_.record_history) {
-      ITG_RETURN_IF_ERROR(
-          WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
-    }
-    RecordSuperstep(s, gsa::SuperstepMode::kOneShot, SuperstepCost{},
-                    active_size, active_size, ss_emissions0, ss_windows0,
-                    ss_edges0, ss_wall0, ss_cpu0, ss_shuffle0);
-    if (options_.digest_per_superstep) {
-      profile_.supersteps().back().state_digest = ComputeStateDigest();
-    }
-    PublishSuperstepTelemetry(ss_seconds0);
-    GlobalLiveStatus().EndSuperstep();
-    ++s;
-  }
-  FoldWalkCounters(walk_base, starts_base);
-  PublishStateDigest(t);
-
-  last_run_t_ = t;
-  prev_supersteps_ = s;
-  stats_.supersteps = s;
-  stats_.incremental = false;
-  stats_.windows_loaded = enumerator_.windows_loaded() - windows0;
-  stats_.edges_scanned = enumerator_.edges_scanned() - scans0;
-  stats_.delta_walks_pruned = enumerator_.walks_pruned() - pruned0;
-  stats_.seconds = watch.ElapsedSeconds();
-  stats_.read_bytes = metrics.read_bytes() - read0;
-  stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0);
+        // Attribute files: cells Update changed from A_{t,s}.
+        RunUpdatePass(t, /*domain=*/nullptr, /*prev=*/nullptr,
+                      options_.record_history ? &attr_records : nullptr);
+        if (options_.record_history) {
+          ITG_RETURN_IF_ERROR(
+              WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
+        }
+        return Status::OK();
+      },
+      &supersteps));
+  frame.Finish(supersteps);
   return Status::OK();
 }
 
@@ -1351,34 +1334,17 @@ Status Engine::RunIncremental(Timestamp t) {
           "incremental execution with global monoid accumulators");
     }
   }
-  TraceSpan run_span("incremental", "engine", t);
-  LiveRunScope live_run("incremental", t, options_.query_label);
+  // Ahead of the run frame: provenance bookkeeping reads the batch, but
+  // those reads are not the run's work.
   if (lineage_ != nullptr) {
     ITG_RETURN_IF_ERROR(lineage_->BeginTimestamp(store_, t));
   }
-  Stopwatch watch;
-  Metrics& metrics = *store_->metrics();
-  const uint64_t read0 = metrics.read_bytes();
-  const uint64_t write0 = metrics.write_bytes();
-  uint64_t emissions0 = 0;
-  stats_ = RunStats{};
-  stats_.timestamp = t;
-  stats_.incremental = true;
-  const uint64_t windows0 = enumerator_.windows_loaded();
-  const uint64_t scans0 = enumerator_.edges_scanned();
-  const uint64_t pruned0 = enumerator_.walks_pruned();
-  const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
-  const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  profile_.ResetCounters();
-  const std::vector<WalkEnumerator::LevelCounts> walk_base =
-      enumerator_.level_counts();
-  const uint64_t starts_base = enumerator_.starts_enumerated();
+  RunFrame frame(this, "incremental", t, /*incremental=*/true);
 
   const VertexId n = store_->num_vertices();
   const Timestamp prev_t = t - 1;
   BufferPool* pool = store_->pool();
   const Timestamp history_prev_t = prev_t - history_base_;
-  ResetMachineStats();
   // Shared store reads (delta-chain overlays) are split evenly over the
   // simulated machines in the distributed time model.
   auto charge_shared_seconds = [&](double seconds) {
@@ -1405,7 +1371,6 @@ Status Engine::RunIncremental(Timestamp t) {
         cur_globals_[g] = carried[g];
       }
     }
-    degree_cache_.clear();
     FillDegreeColumns(&prev_cols_, prev_t);
     FillDegreeColumns(&cur_cols_, t);
     RunInitialize(&prev_cols_, &prev_globals_, prev_t);
@@ -1413,158 +1378,127 @@ Status Engine::RunIncremental(Timestamp t) {
     if (may_recompute) ITG_RETURN_IF_ERROR(PrepareSuperstepCosts(t));
   }
 
-  const Superstep s_prev_total = prev_supersteps_;
   BlockRecords accm_records;
   BlockRecords attr_records;
+  Superstep supersteps = 0;
+  ITG_RETURN_IF_ERROR(RunSupersteps(
+      prev_supersteps_,
+      [&](Superstep s, std::vector<VertexId> cur_active,
+          SuperstepOutcome* out) -> Status {
+        // --- ΔTraverse ----------------------------------------------------
+        // Reconstruct A^accm_{t-1,s} from the store (identity + overlay).
+        Stopwatch overlay_watch;
+        {
+          TraceSpan overlay_span("overlay", "engine", s);
+          ResetAccumulators(&prev_cols_);
+          for (int attr : AccmFileAttrs()) {
+            ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
+                pool, history_prev_t, s, attr,
+                prev_cols_.Column(attr).data()));
+          }
+        }
+        charge_shared_seconds(overlay_watch.ElapsedSeconds());
+        // Current accumulators start from the previous snapshot's and are
+        // patched by Δ-walk contributions.
+        for (int attr : AccmFileAttrs()) {
+          cur_cols_.Column(attr) = prev_cols_.Column(attr);
+        }
 
-  PublishColumnMemory();
-  Superstep s = 0;
-  while (s < options_.max_supersteps &&
-         (options_.fixed_supersteps < 0 || s < options_.fixed_supersteps)) {
-    TraceSpan superstep_span("superstep", "engine", s);
-    std::vector<VertexId> cur_active = ActiveList(cur_cols_);
-    if (cur_active.empty() && s >= s_prev_total) break;
-    GlobalLiveStatus().BeginSuperstep(s);
-    MaybeInjectStall(options_, s);
-    const std::vector<double> ss_seconds0 = MachineSecondsSnapshot();
-    const uint64_t ss_emissions0 = stats_.emissions_applied;
-    const uint64_t ss_windows0 = enumerator_.windows_loaded();
-    const uint64_t ss_edges0 = enumerator_.edges_scanned();
-    const uint64_t ss_wall0 = TraceNowNanos();
-    const uint64_t ss_cpu0 = ThreadCpuNanos();
-    const std::vector<uint64_t> ss_shuffle0 = ShuffleSnapshot();
+        // Δvs starts: vertices whose traverse-visible state changed.
+        std::vector<int> traverse_attrs = program_->traverse_read_attrs;
+        traverse_attrs.push_back(program_->active_attr);
+        std::vector<VertexId> changed_starts;
+        CollectChanged(cur_cols_, prev_cols_, traverse_attrs,
+                       &changed_starts);
+        out->active_vertices = cur_active.size();
+        out->frontier = changed_starts.size();
 
-    // --- ΔTraverse --------------------------------------------------------
-    // Reconstruct A^accm_{t-1,s} from the store (identity + overlay).
-    remote_seen_.clear();
-    Stopwatch overlay_watch;
-    {
-      TraceSpan overlay_span("overlay", "engine", s);
-      ResetAccumulators(&prev_cols_);
-      for (int attr : AccmFileAttrs()) {
-        ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
-            pool, history_prev_t, s, attr, prev_cols_.Column(attr).data()));
-      }
-    }
-    charge_shared_seconds(overlay_watch.ElapsedSeconds());
-    // Current accumulators start from the previous snapshot's and are
-    // patched by Δ-walk contributions.
-    for (int attr : AccmFileAttrs()) {
-      cur_cols_.Column(attr) = prev_cols_.Column(attr);
-    }
-    ClearRecomputeState();
+        // Per-superstep plan choice: Δ-walks, or one walk over the current
+        // snapshot from scratch when that scans fewer level-1 edges.
+        out->mode = gsa::SuperstepMode::kDelta;
+        if (may_recompute) {
+          out->cost = EstimateSuperstepCost(changed_starts, cur_active);
+          if (out->cost.recompute_edges < out->cost.delta_edges) {
+            out->mode = gsa::SuperstepMode::kRecompute;
+          }
+        }
 
-    // Δvs starts: vertices whose traverse-visible state changed.
-    std::vector<int> traverse_attrs = program_->traverse_read_attrs;
-    traverse_attrs.push_back(program_->active_attr);
-    std::vector<VertexId> changed_starts;
-    CollectChanged(cur_cols_, prev_cols_, traverse_attrs, &changed_starts);
+        const uint64_t emissions0 = stats_.emissions_applied;
+        // Per-superstep Δ diagnostics (changed-start set sizes, per-phase
+        // edge scans); enable with ITG_LOG_LEVEL=debug.
+        ITG_LOG(Debug) << "t=" << t << " s=" << s
+                       << " changed_starts=" << changed_starts.size()
+                       << " cur_active=" << cur_active.size()
+                       << " mode=" << gsa::SuperstepModeName(out->mode)
+                       << " est_delta=" << out->cost.delta_edges
+                       << " est_recompute=" << out->cost.recompute_edges;
+        const uint64_t delta_scans0 = enumerator_.edges_scanned();
+        if (out->mode == gsa::SuperstepMode::kRecompute) {
+          ResetAccumulators(&cur_cols_);
+          // The active list is the start set already (as for Δes starts
+          // without TR/NP): every candidate passes.
+          RecordStartFilter(cur_active.size(), cur_active.size());
+          ITG_RETURN_IF_ERROR(RunCurrentWalk(t, std::move(cur_active)));
+        } else {
+          ITG_RETURN_IF_ERROR(
+              RunDeltaTraverse(t, s, changed_starts, cur_active));
+          ITG_RETURN_IF_ERROR(RunMonoidRecompute(t, s));
+          stats_.delta_walk_emissions += stats_.emissions_applied - emissions0;
+        }
+        ITG_LOG(Debug) << "  walk scans="
+                       << enumerator_.edges_scanned() - delta_scans0;
 
-    // Per-superstep plan choice: Δ-walks, or one walk over the current
-    // snapshot from scratch when that scans fewer level-1 edges.
-    SuperstepCost cost;
-    gsa::SuperstepMode mode = gsa::SuperstepMode::kDelta;
-    if (may_recompute) {
-      cost = EstimateSuperstepCost(changed_starts, cur_active);
-      if (cost.recompute_edges < cost.delta_edges) {
-        mode = gsa::SuperstepMode::kRecompute;
-      }
-    }
+        // --- ΔUpdate ------------------------------------------------------
+        // Domain: any attribute or accumulator difference vs the previous
+        // snapshot at this superstep. The same pass collects the
+        // accumulator files' records (cross-snapshot changes).
+        ClassifyDeltaDomain(&delta_domain_,
+                            options_.record_history ? &accm_records : nullptr);
+        if (options_.record_history) {
+          ITG_RETURN_IF_ERROR(
+              WriteDeltaFiles(t, s, AccmFileAttrs(), accm_records));
+        }
 
-    emissions0 = stats_.emissions_applied;
-    // Per-superstep Δ diagnostics (changed-start set sizes, per-phase edge
-    // scans); enable with ITG_LOG_LEVEL=debug.
-    ITG_LOG(Debug) << "t=" << t << " s=" << s
-                   << " changed_starts=" << changed_starts.size()
-                   << " cur_active=" << cur_active.size()
-                   << " mode=" << gsa::SuperstepModeName(mode)
-                   << " est_delta=" << cost.delta_edges
-                   << " est_recompute=" << cost.recompute_edges;
-    uint64_t delta_scans0 = enumerator_.edges_scanned();
-    if (mode == gsa::SuperstepMode::kRecompute) {
-      ResetAccumulators(&cur_cols_);
-      // The active list is the start set already (as for Δes starts
-      // without TR/NP): every candidate passes.
-      RecordStartFilter(cur_active.size(), cur_active.size());
-      ITG_RETURN_IF_ERROR(RunCurrentWalk(t, cur_active));
-    } else {
-      ITG_RETURN_IF_ERROR(RunDeltaTraverse(t, s, changed_starts, cur_active));
-      ITG_RETURN_IF_ERROR(RunMonoidRecompute(t, s));
-      stats_.delta_walk_emissions += stats_.emissions_applied - emissions0;
-    }
-    ITG_LOG(Debug) << "  walk scans="
-                   << enumerator_.edges_scanned() - delta_scans0;
+        // Advance prev to A_{t-1,s+1} by overlaying the stored chains.
+        overlay_watch.Restart();
+        {
+          TraceSpan overlay_span("overlay", "engine", s);
+          for (int attr : AttrFileAttrs()) {
+            ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
+                pool, history_prev_t, s + 1, attr,
+                prev_cols_.Column(attr).data()));
+          }
+        }
+        charge_shared_seconds(overlay_watch.ElapsedSeconds());
 
-    // --- ΔUpdate ----------------------------------------------------------
-    // Domain: any attribute or accumulator difference vs the previous
-    // snapshot at this superstep. The same pass collects the accumulator
-    // files' records (cross-snapshot changes).
-    ClassifyDeltaDomain(&delta_domain_,
-                        options_.record_history ? &accm_records : nullptr);
-    if (options_.record_history) {
-      ITG_RETURN_IF_ERROR(
-          WriteDeltaFiles(t, s, AccmFileAttrs(), accm_records));
-    }
-
-    // Advance prev to A_{t-1,s+1} by overlaying the stored chains.
-    overlay_watch.Restart();
-    {
-      TraceSpan overlay_span("overlay", "engine", s);
-      for (int attr : AttrFileAttrs()) {
-        ITG_RETURN_IF_ERROR(vertex_store_.OverlaySuperstep(
-            pool, history_prev_t, s + 1, attr,
-            prev_cols_.Column(attr).data()));
-      }
-    }
-    charge_shared_seconds(overlay_watch.ElapsedSeconds());
-
-    // Advance cur: identical to prev outside the domain, Update inside it.
-    // Virtual attributes (degrees) stay snapshot-bound and are excluded.
-    // Drift-injection test hook (audit_smoke): corrupt one audited cell
-    // after ΔUpdate and record it, so the corrupted after-image persists
-    // into the delta files — the same footprint as real silent state
-    // corruption.
-    const bool corrupt = t == options_.debug_corrupt_timestamp && s == 0 &&
-                         options_.debug_corrupt_vertex >= 0 &&
-                         options_.debug_corrupt_vertex < n &&
-                         !AuditedAttrs().empty();
-    RunUpdatePass(t, &delta_domain_, &prev_cols_,
-                  options_.record_history ? &attr_records : nullptr,
-                  corrupt ? options_.debug_corrupt_vertex : -1);
-    if (options_.record_history) {
-      // File condition (§5.5): changed vs previous superstep OR vs the
-      // previous snapshot at this superstep.
-      ITG_RETURN_IF_ERROR(
-          WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
-    }
-    RecordSuperstep(s, mode, cost, cur_active.size(),
-                    changed_starts.size(), ss_emissions0, ss_windows0,
-                    ss_edges0, ss_wall0, ss_cpu0, ss_shuffle0);
-    if (options_.digest_per_superstep) {
-      profile_.supersteps().back().state_digest = ComputeStateDigest();
-    }
-    PublishSuperstepTelemetry(ss_seconds0);
-    GlobalLiveStatus().EndSuperstep();
-    ++s;
-  }
-  FoldWalkCounters(walk_base, starts_base);
-  PublishStateDigest(t);
+        // Advance cur: identical to prev outside the domain, Update inside
+        // it. Virtual attributes (degrees) stay snapshot-bound and are
+        // excluded. Drift-injection test hook (audit_smoke): corrupt one
+        // audited cell after ΔUpdate and record it, so the corrupted
+        // after-image persists into the delta files — the same footprint
+        // as real silent state corruption.
+        const bool corrupt = t == options_.debug_corrupt_timestamp &&
+                             s == 0 && options_.debug_corrupt_vertex >= 0 &&
+                             options_.debug_corrupt_vertex < n &&
+                             !AuditedAttrs().empty();
+        RunUpdatePass(t, &delta_domain_, &prev_cols_,
+                      options_.record_history ? &attr_records : nullptr,
+                      corrupt ? options_.debug_corrupt_vertex : -1);
+        if (options_.record_history) {
+          // File condition (§5.5): changed vs previous superstep OR vs the
+          // previous snapshot at this superstep.
+          ITG_RETURN_IF_ERROR(
+              WriteDeltaFiles(t, s + 1, AttrFileAttrs(), attr_records));
+        }
+        return Status::OK();
+      },
+      &supersteps));
 
   if (options_.record_history) {
     ITG_RETURN_IF_ERROR(
         vertex_store_.MaintainAfterSnapshot(t - history_base_, pool));
   }
-
-  last_run_t_ = t;
-  prev_supersteps_ = s;
-  stats_.supersteps = s;
-  stats_.windows_loaded = enumerator_.windows_loaded() - windows0;
-  stats_.edges_scanned = enumerator_.edges_scanned() - scans0;
-  stats_.delta_walks_pruned = enumerator_.walks_pruned() - pruned0;
-  stats_.seconds = watch.ElapsedSeconds();
-  stats_.read_bytes = metrics.read_bytes() - read0;
-  stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0);
+  frame.Finish(supersteps);
   return Status::OK();
 }
 
@@ -1860,13 +1794,19 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
   ITG_CHECK_EQ(p, k);
   const VertexId n = store_->num_vertices();
   const double* active = cur_cols_.Column(program_->active_attr).data();
-  const Direction delta_dir = program_->traverse.levels[k - 1].dir;
+  const std::vector<LevelSpec>& levels = program_->traverse.levels;
+  const Direction delta_dir = levels[k - 1].dir;
 
-  EvalContext ctx;
-  ctx.columns = &cur_cols_;
-  ctx.globals = &cur_globals_;
-  ctx.num_vertices = static_cast<double>(n);
-  ctx.num_edges = static_cast<double>(store_->num_edges(t));
+  // The closed rows go through the walk jobs' apply sink as the q_k
+  // sub-query they replace: emissions at depth k, delta crossed at k.
+  WalkJob job;
+  job.min_emit_depth = k;
+  job.delta_level = k;
+  job.eval_cols = &cur_cols_;
+  job.eval_globals = &cur_globals_;
+  job.eval_t = t;
+  JobEmitter emitter = MakeEmitter(job);
+  EvalContext ctx = emitter.ctx;  // level predicates
 
   // EXPLAIN ANALYZE attribution: the anchored plan bypasses the walk
   // enumerator, so its edge probes and predicate evaluations are charged
@@ -1874,12 +1814,19 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
   std::vector<gsa::OperatorCounters*> level_cells(static_cast<size_t>(k),
                                                   nullptr);
   for (int j = 0; j < k; ++j) {
-    const int op = program_->traverse.levels[static_cast<size_t>(j)].op;
+    const int op = levels[static_cast<size_t>(j)].op;
     if (op >= 0) level_cells[static_cast<size_t>(j)] = &profile_.Op(op);
   }
+  // LevelAdmits for traversal level `level` (0-based), its evaluations
+  // charged to that level's stream operator.
+  auto admits = [&](int level, VertexId v) {
+    gsa::OperatorCounters* cell = level_cells[static_cast<size_t>(level)];
+    ctx.eval_counter = (cell != nullptr) ? &cell->evals : nullptr;
+    return LevelAdmits(levels[static_cast<size_t>(level)], v, ctx);
+  };
 
   std::vector<VertexId> row(static_cast<size_t>(k) + 1);
-  std::vector<VertexId> adj;
+  ctx.row = row.data();
   Status status = Status::OK();
   Status scan_status = store_->ScanDeltas(
       store_->pool(), t, delta_dir, [&](Edge e, Multiplicity m) {
@@ -1901,24 +1848,15 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
             // Bind position k-1 (row index k-1) to `a`: it must be a
             // current-snapshot neighbor of row[k-2] satisfying the
             // level's predicate; then row[k] = b closes the walk.
-            const LevelSpec& level = program_->traverse.levels[k - 2];
             gsa::OperatorCounters* probe_cell =
                 level_cells[static_cast<size_t>(k - 2)];
             row[static_cast<size_t>(k - 1)] = a;
             row[static_cast<size_t>(k)] = b;
-            ctx.row = row.data();
             ctx.row_len = k + 1;
-            if (level.gt_pos >= 0 && !(a > row[level.gt_pos])) return;
-            if (level.lt_pos >= 0 && !(a < row[level.lt_pos])) return;
-            if (level.eq_pos >= 0 && a != row[level.eq_pos]) return;
-            ctx.eval_counter =
-                (probe_cell != nullptr) ? &probe_cell->evals : nullptr;
-            for (const lang::Expr* cond : level.general) {
-              if (!EvaluateBool(*cond, ctx)) return;
-            }
+            if (!admits(k - 2, a)) return;
             if (probe_cell != nullptr) ++probe_cell->edges;
             auto has = store_->HasEdge(store_->pool(), row[k - 2], a, t,
-                                       level.dir);
+                                       levels[k - 2].dir);
             if (!has.ok()) {
               status = has.status();
               return;
@@ -1926,43 +1864,20 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
             if (!*has) return;
             if (probe_cell != nullptr) ++probe_cell->out_pos;
             // Remaining conjuncts of the delta level itself.
-            const LevelSpec& last = program_->traverse.levels[k - 1];
+            if (!admits(k - 1, b)) return;
             gsa::OperatorCounters* last_cell =
                 level_cells[static_cast<size_t>(k - 1)];
-            if (last.gt_pos >= 0 && !(b > row[last.gt_pos])) return;
-            if (last.lt_pos >= 0 && !(b < row[last.lt_pos])) return;
-            ctx.eval_counter =
-                (last_cell != nullptr) ? &last_cell->evals : nullptr;
-            for (const lang::Expr* cond : last.general) {
-              if (!EvaluateBool(*cond, ctx)) return;
-            }
             if (last_cell != nullptr) {
               (m > 0 ? last_cell->out_pos : last_cell->out_neg) += 1;
             }
-            for (const Emission& em : program_->traverse.emissions) {
-              if (em.stmt_depth != k) continue;
-              const uint64_t applied0 = stats_.emissions_applied;
-              ApplyEmission(em, row.data(), k + 1, m, cur_cols_,
-                            cur_globals_, t);
-              if (lineage_ != nullptr && !em.is_global &&
-                  stats_.emissions_applied != applied0) {
-                // ScanDeltas(kIn) pre-flips edges to traversal
-                // orientation; flip back for the stored-edge lookup.
-                const Edge stored = (delta_dir == Direction::kOut)
-                                        ? Edge{a, b}
-                                        : Edge{b, a};
-                lineage_->OnEmission(row[0], row[em.target_depth],
-                                     lineage_->DeltaEdgeId(stored));
-              }
-            }
+            ApplyRow(job, &emitter, row.data(), k, m);
             return;
           }
-          const LevelSpec& level = program_->traverse.levels[depth - 1];
           gsa::OperatorCounters* cell =
               level_cells[static_cast<size_t>(depth - 1)];
-          Status st = store_->GetAdjacency(store_->pool(),
-                                           row[static_cast<size_t>(depth - 1)],
-                                           t, level.dir, &adj_stack_[depth]);
+          Status st = store_->GetAdjacency(
+              store_->pool(), row[static_cast<size_t>(depth - 1)], t,
+              levels[depth - 1].dir, &adj_stack_[depth]);
           if (!st.ok()) {
             status = st;
             return;
@@ -1970,20 +1885,8 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
           for (VertexId v : adj_stack_[depth]) {
             if (cell != nullptr) ++cell->edges;
             row[static_cast<size_t>(depth)] = v;
-            ctx.row = row.data();
             ctx.row_len = depth + 1;
-            if (level.gt_pos >= 0 && !(v > row[level.gt_pos])) continue;
-            if (level.lt_pos >= 0 && !(v < row[level.lt_pos])) continue;
-            if (level.eq_pos >= 0 && v != row[level.eq_pos]) continue;
-            bool ok = true;
-            ctx.eval_counter = (cell != nullptr) ? &cell->evals : nullptr;
-            for (const lang::Expr* cond : level.general) {
-              if (!EvaluateBool(*cond, ctx)) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
+            if (!admits(depth - 1, v)) continue;
             if (cell != nullptr) ++cell->out_pos;
             extend(depth + 1);
           }
@@ -1991,6 +1894,7 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
         row[0] = b;
         extend(1);
       });
+  MergeMapCounters(emitter.map);
   ITG_RETURN_IF_ERROR(scan_status);
   return status;
 }

@@ -41,9 +41,8 @@ struct EngineOptions {
   bool superstep_recompute = true;
   bool multiway_intersection = true;
   /// Run exactly this many supersteps (paper: 10 for PR/LP); -1 = until
-  /// convergence.
+  /// convergence (at most 500).
   int fixed_supersteps = -1;
-  int max_supersteps = 500;
   /// Write per-superstep history to the vertex store (required before
   /// RunIncremental; disable for throwaway one-shot comparison runs).
   bool record_history = true;
@@ -56,12 +55,10 @@ struct EngineOptions {
   int num_partitions = 1;
   /// Per-machine buffer pool capacity (pages) in the simulation.
   size_t partition_pool_pages = 512;
-  /// Simulated interconnect bandwidth for the distributed time model.
-  double network_bytes_per_second = 1.0e9;
   /// Worker threads for intra-machine parallel walk enumeration
   /// (§6.2 "in parallel for non-conflicting walks"). 0 = the ITG_THREADS
-  /// env var, else hardware_concurrency(). 1 disables the pool and runs
-  /// the byte-for-byte sequential path. Ignored (forced sequential) when
+  /// env var, else hardware_concurrency(). 1 disables the pool: walks
+  /// apply their emissions inline. Ignored for walks (inline apply) when
   /// num_partitions > 1 or the program reads accumulator state inside
   /// Traverse (see ARCHITECTURE.md, "Threading model").
   int num_threads = 0;
@@ -69,14 +66,9 @@ struct EngineOptions {
   /// superstep of every run. The sleep is observation-neutral (no work
   /// counter moves), so fingerprints are unaffected. 0 = off.
   uint64_t debug_stall_first_superstep_ms = 0;
-  /// Also digest the attribute state after every superstep into the
-  /// superstep timeline (the end-of-run digest is always computed).
-  /// Observation-only — no work counter or accumulator moves.
-  bool digest_per_superstep = false;
   /// Opt-in Δ-record provenance: track a bounded set of contributing
   /// input-mutation ids per vertex (see engine/lineage.h). Forces the
-  /// sequential walk path so every applied emission passes through the
-  /// tagging sink.
+  /// inline walk driver, whose apply sink tags every applied emission.
   bool lineage = false;
   /// Drift-injection test hooks (audit_smoke): during
   /// RunIncremental(debug_corrupt_timestamp), superstep 0, add
@@ -198,7 +190,8 @@ class Engine {
     return machine_stats_;
   }
   /// Distributed-time model: max over machines of (measured time +
-  /// shuffle volume / bandwidth). Meaningful when num_partitions > 1.
+  /// shuffle volume / 1 GB/s interconnect). Meaningful when
+  /// num_partitions > 1.
   double SimulatedDistributedSeconds() const;
 
   // ---- correctness observability ---------------------------------------
@@ -245,20 +238,12 @@ class Engine {
   std::vector<VertexId> ActiveList(const ColumnSet& cols) const;
   void InitGlobals(std::vector<std::vector<double>>* globals);
 
-  /// Applies one emission occurrence (value evaluated against
-  /// `eval_cols`/`eval_globals`) onto the *current* accumulator state,
-  /// implementing incremental Accumulate (§5.4): Abelian-group inverse on
-  /// deletions, support counting / recompute marking for monoids.
-  void ApplyEmission(const Emission& emission, const VertexId* row,
-                     int row_len, int mult, const ColumnSet& eval_cols,
-                     const std::vector<std::vector<double>>& eval_globals,
-                     Timestamp t);
-
-  /// The accumulate half of ApplyEmission: applies an already-evaluated
-  /// value (expanded to `emission.width` doubles) onto the current
-  /// accumulator state. The parallel path evaluates values on worker
-  /// threads and replays them through this in sequential emission order,
-  /// so floating-point accumulation order is bit-identical to threads=1.
+  /// Incremental Accumulate (§5.4): applies one evaluated emission value
+  /// (expanded to `emission.width` doubles) with signed multiplicity
+  /// `mult` onto the *current* accumulator state — Abelian-group inverse
+  /// on deletions, support counting / recompute marking for monoids. Both
+  /// walk drivers accumulate through this in sequential emission order,
+  /// so floating-point accumulation order is the same at any thread count.
   void ApplyEmissionValue(const Emission& emission, VertexId target,
                           const double* values, int mult);
 
@@ -284,27 +269,51 @@ class Engine {
     const std::vector<std::vector<uint8_t>>* target_marks = nullptr;
     const ColumnSet* eval_cols = nullptr;
     const std::vector<std::vector<double>>* eval_globals = nullptr;
-    /// Snapshot whose |E| feeds the eval context and ApplyEmission.
+    /// Snapshot whose |E| feeds the job's evaluation context.
     Timestamp eval_t = 0;
     Timestamp current_t = 0;
     Timestamp previous_t = 0;
   };
 
-  /// Runs a batch of jobs: sequentially (exactly the pre-parallel code
-  /// path, including the distributed simulation) or sharded over the
-  /// thread pool with deterministic replay (see ARCHITECTURE.md).
+  /// Evaluation state of one job's emissions on one thread: the job's
+  /// context (snapshot columns and globals, |V|, |E| of eval_t — looked
+  /// up once per job) and per-emission Map counters, which the driver
+  /// merges into the profile.
+  struct JobEmitter {
+    EvalContext ctx;
+    std::vector<gsa::OperatorCounters> map;
+  };
+  JobEmitter MakeEmitter(const WalkJob& job) const;
+  void MergeMapCounters(const std::vector<gsa::OperatorCounters>& map);
+
+  /// The one emission path. For every emission of the walk row
+  /// `row[0..depth]` that passes the job's row filter (statement depth,
+  /// min_emit_depth, monoid_only marks), evaluates guards and value
+  /// (EvaluateEmission) and, when it fires, calls
+  /// `apply(emission, target, values, signed_mult)`. The two drivers
+  /// differ only in `apply`: ApplyRow accumulates at once, pool workers
+  /// record the value for replay. Const, so workers may share it.
+  template <typename Apply>
+  void EmitRow(const WalkJob& job, JobEmitter* emitter, const VertexId* row,
+               int depth, int mult, Apply&& apply) const;
+  /// The apply sink: EmitRow into ApplyEmissionValue, then (lineage mode)
+  /// the target absorbs the walk start's provenance plus the id of the
+  /// delta edge the row crossed at `job.delta_level`.
+  void ApplyRow(const WalkJob& job, JobEmitter* emitter, const VertexId* row,
+                int depth, int mult);
+
+  /// Runs a batch of jobs through one of two drivers (see ARCHITECTURE.md,
+  /// "Threading model"): inline, applying every emission as the walk
+  /// fires it, or sharded over the thread pool, evaluating on workers and
+  /// replaying the values in inline order.
   Status RunWalkJobs(const std::vector<WalkJob>& jobs);
   Status RunWalkJobsSequential(const std::vector<WalkJob>& jobs);
   Status RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
                              size_t num_tasks);
-  WalkSink MakeApplySink(const WalkJob& job);
   /// True when no traverse-level expression (level predicate, emission
   /// guard or value) reads accumulator state — the condition under which
   /// walk evaluation commutes with emission application.
   static bool ProgramParallelSafe(const CompiledProgram& program);
-  /// Fills the thread-scaling fields of stats_ from the pool's cumulative
-  /// counters (deltas against the given run-start baselines).
-  void FillThreadStats(uint64_t steals0, uint64_t busy0);
 
   // ---- EXPLAIN ANALYZE recording ---------------------------------------
   /// Re-resolves the cached per-operator counter cells (map-node addresses
@@ -318,15 +327,29 @@ class Engine {
   /// LevelSpec::op, plus the Walk roll-up and the start-stream output.
   void FoldWalkCounters(const std::vector<WalkEnumerator::LevelCounts>& base,
                         uint64_t starts0);
-  /// Appends one superstep-timeline row; work fields are deltas against
-  /// the given superstep-start baselines.
-  void RecordSuperstep(Superstep s, gsa::SuperstepMode mode,
-                       const SuperstepCost& cost,
-                       uint64_t active_vertices, uint64_t frontier,
-                       uint64_t emissions0, uint64_t windows0,
-                       uint64_t edges0, uint64_t wall0_nanos,
-                       uint64_t cpu0_nanos,
-                       const std::vector<uint64_t>& shuffle0);
+
+  // ---- run and superstep frames ------------------------------------------
+  /// The frame of one RunOneShot / RunIncremental call (engine.cc): trace
+  /// span, live-status run, stats reset, counter baselines and profile
+  /// reset on entry; Finish(supersteps) fills stats_ from the baselines.
+  struct RunFrame;
+  /// What one superstep reports for its timeline row.
+  struct SuperstepOutcome {
+    gsa::SuperstepMode mode = gsa::SuperstepMode::kOneShot;
+    SuperstepCost cost;
+    uint64_t active_vertices = 0;
+    uint64_t frontier = 0;
+  };
+  using SuperstepBody = std::function<Status(
+      Superstep s, std::vector<VertexId> active, SuperstepOutcome* out)>;
+  /// The superstep loop of both runs. Supersteps continue while any
+  /// vertex is active (always for the first `min_supersteps`), up to
+  /// fixed_supersteps. Each gets its trace span, live status, stall hook,
+  /// shuffle/recompute scratch reset and work baselines around
+  /// `body(s, active, &outcome)`, then its timeline row and telemetry.
+  /// Sets `*supersteps` to the number run.
+  Status RunSupersteps(Superstep min_supersteps, const SuperstepBody& body,
+                       Superstep* supersteps);
   /// Per-partition network_bytes snapshot (empty when unpartitioned).
   std::vector<uint64_t> ShuffleSnapshot() const;
 

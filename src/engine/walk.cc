@@ -143,6 +143,9 @@ Status WalkEnumerator::Extend(
 
   std::vector<VertexId> row(static_cast<size_t>(prefix_len) + 1);
   AdjacencyWindow window;
+  // Whether a candidate needs LevelAdmits beyond what the scan's seek
+  // (gt) and early stop (lt) enforce; hoisted out of the per-edge loop.
+  const bool residual = spec.eq_pos >= 0 || !spec.general.empty();
 
   const size_t chunk = static_cast<size_t>(options_.window_vertices);
   for (size_t cb = 0; cb < frontier.size(); cb += chunk) {
@@ -174,7 +177,8 @@ Status WalkEnumerator::Extend(
       const VertexId* dsts = window.dsts.data();
       // Fast paths over the sorted list: lower-bound seek for
       // `next > row[gt]`, early stop for `next < row[lt]`, binary probe
-      // for the closing constraint `next == row[eq]`.
+      // for the closing constraint `next == row[eq]`. LevelAdmits re-checks
+      // every conjunct, so the fast paths only skip candidates.
       if (spec.eq_pos >= 0 && options_.eq_fast_path) {
         VertexId want = row[spec.eq_pos];
         if (spec.gt_pos >= 0 && want <= row[spec.gt_pos]) continue;
@@ -194,14 +198,7 @@ Status WalkEnumerator::Extend(
             ++lc.pruned;
             break;
           }
-          bool ok = true;
-          for (const lang::Expr* cond : spec.general) {
-            if (!EvaluateBool(*cond, ctx)) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
+          if (!LevelAdmits(spec, want, ctx)) continue;
           int m = mults[i] * window.mults[j];
           (m > 0 ? lc.out_pos : lc.out_neg) += 1;
           sink(row.data(), prefix_len, m);
@@ -232,15 +229,7 @@ Status WalkEnumerator::Extend(
           continue;
         }
         row[prefix_len] = v;
-        if (spec.eq_pos >= 0 && v != row[spec.eq_pos]) continue;
-        bool ok = true;
-        for (const lang::Expr* cond : spec.general) {
-          if (!EvaluateBool(*cond, ctx)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
+        if (residual && !LevelAdmits(spec, v, ctx)) continue;
         int m = mults[i] * window.mults[j];
         (m > 0 ? lc.out_pos : lc.out_neg) += 1;
         sink(row.data(), prefix_len, m);

@@ -25,6 +25,23 @@ enum class LevelStream { kCurrent, kPrevious, kDelta };
 using WalkSink =
     std::function<void(const VertexId* row, int depth, int mult)>;
 
+/// The level's Where on `v`, already bound at the level's position in
+/// `ctx.row`: the position conjuncts against earlier row positions, then
+/// the general conjuncts (their expression nodes count into
+/// `ctx.eval_counter`). Shared by the walk enumerator and the anchored
+/// closing, which binds positions in a different order.
+inline bool LevelAdmits(const LevelSpec& level, VertexId v,
+                        const EvalContext& ctx) {
+  const VertexId* row = ctx.row;
+  if (level.gt_pos >= 0 && !(v > row[level.gt_pos])) return false;
+  if (level.lt_pos >= 0 && !(v < row[level.lt_pos])) return false;
+  if (level.eq_pos >= 0 && v != row[level.eq_pos]) return false;
+  for (const lang::Expr* cond : level.general) {
+    if (!EvaluateBool(*cond, ctx)) return false;
+  }
+  return true;
+}
+
 /// Enumerates walks over nested graph windows (§4.2/4.3).
 ///
 /// The enumerator is the physical Walk operator: level by level it

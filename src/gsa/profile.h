@@ -94,12 +94,6 @@ struct SuperstepProfile {
   /// Pre-aggregated shuffle volume sent per simulated partition during
   /// this superstep (empty unless num_partitions > 1).
   std::vector<uint64_t> shuffle_bytes;
-  /// Order-independent digest of the audited attribute state after this
-  /// superstep (0 unless EngineOptions::digest_per_superstep). A state
-  /// fingerprint, not a work counter — excluded from SameWork so the
-  /// regression gate keys on work, and digest equality is asserted
-  /// separately by the determinism tests.
-  uint64_t state_digest = 0;
 
   /// Δ-walk and recompute supersteps both belong to an incremental run.
   bool incremental() const { return mode != SuperstepMode::kOneShot; }

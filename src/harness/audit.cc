@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 
 #include "common/flight_recorder.h"
 #include "common/live_status.h"
@@ -50,6 +51,10 @@ StatusOr<std::unique_ptr<Engine>> DriftAuditor::MakeShadow(
           scratch_path_ + ".shadow" + std::to_string(shadow_counter_++),
           store_->num_vertices(), std::move(edges), options_.store,
           &GlobalMetrics()));
+  // The store keeps its page file open, so unlinking it now frees it
+  // when the store is dropped, on every exit path.
+  std::error_code ec;
+  std::filesystem::remove((*store_out)->page_store()->path(), ec);
   EngineOptions opts = engine_->options();
   opts.record_history = record_history;
   // The shadow must run the *intended* computation: no lineage overhead

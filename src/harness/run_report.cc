@@ -166,7 +166,6 @@ std::string RunReport::ToJson() const {
         AppendField(&out, "edges", ss.edges);
         AppendField(&out, "wall_nanos", ss.wall_nanos);
         AppendField(&out, "cpu_nanos", ss.cpu_nanos);
-        AppendField(&out, "state_digest", ss.state_digest);
         out.append("\"shuffle_bytes\":[");
         for (size_t m = 0; m < ss.shuffle_bytes.size(); ++m) {
           if (m > 0) out.push_back(',');

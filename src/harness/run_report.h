@@ -197,7 +197,7 @@ struct AlertsSection {
 ///         "delta_cost": 0, "recompute_cost": 0,  // v10, level-1 estimates
 ///         "active_vertices": 0,
 ///         "frontier": 0, "emissions": 0, "windows": 0, "edges": 0,
-///         "wall_nanos": 0, "cpu_nanos": 0, "state_digest": 0,  // v4
+///         "wall_nanos": 0, "cpu_nanos": 0,
 ///         "shuffle_bytes": [..]}, ...]},
 ///     ...
 ///   ],

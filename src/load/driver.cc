@@ -26,7 +26,7 @@ uint64_t MicrosBetween(Clock::time_point a, Clock::time_point b) {
 /// Mirror of the daemon's LoadGraph + Service::Create normalisation:
 /// rmat:<scale> (deterministic seed) or a whitespace edge list, then
 /// optional symmetrisation, then dedupe + self-loop drop — yielding the
-/// exact `present_` set ingest validation starts from.
+/// exact live edge set (`Service::live_`) ingest validation starts from.
 StatusOr<std::vector<Edge>> LoadBaseEdges(const std::string& graph,
                                           bool symmetric,
                                           VertexId* num_vertices) {

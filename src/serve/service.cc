@@ -82,13 +82,9 @@ StatusOr<std::unique_ptr<Service>> Service::Create(
     std::filesystem::create_directories(options.scratch_dir, ec);
   }
 
-  // The primary mirrors the store's simple-graph normalization (dedup,
-  // no self-loops) into present_, the ingest-validation edge set.
-  for (const Edge& e : base_edges) {
-    if (e.src != e.dst) service->present_.insert(e);
-  }
-  std::vector<Edge> edges(service->present_.begin(),
-                          service->present_.end());
+  service->live_ = LiveEdgeSet(num_vertices, base_edges);
+  std::vector<Edge> edges(service->live_.edges().begin(),
+                          service->live_.edges().end());
   ITG_ASSIGN_OR_RETURN(
       service->primary_,
       DynamicGraphStore::Create(options.scratch_dir + "/primary",
@@ -160,8 +156,7 @@ Response Service::Register(const Request& req, Response* snapshot_out) {
 
   // Symmetric views share one companion store: the graph of record with
   // every edge mirrored, advanced by ApplyOneBatch right after the
-  // primary. The ingest stream must then never carry both orientations
-  // of an edge.
+  // primary with each batch's undirected changes.
   DynamicGraphStore* store = primary_.get();
   if (req.symmetric) {
     if (symmetric_ == nullptr) {
@@ -257,40 +252,19 @@ Response Service::Ingest(const Request& req) {
                        "service is draining");
     }
     // Validate against the live edge set (including still-queued
-    // batches): the store's degree bookkeeping requires that inserts
-    // target absent edges and deletes present ones, and every vertex
-    // must be inside the fixed vertex space.
-    const VertexId n = primary_->num_vertices();
+    // batches).
     for (const Edge& e : req.inserts) {
-      if (e.src < 0 || e.dst < 0 || e.src >= n || e.dst >= n) {
-        return MakeError(RequestOp::kIngest, "", "out_of_range",
-                         "insert [" + std::to_string(e.src) + "," +
-                             std::to_string(e.dst) +
-                             ") outside vertex space of " +
-                             std::to_string(n));
-      }
-      if (e.src == e.dst || present_.count(e) != 0) {
-        return MakeError(RequestOp::kIngest, "", "invalid_mutation",
-                         "insert of present edge or self-loop [" +
-                             std::to_string(e.src) + "," +
-                             std::to_string(e.dst) + "]");
-      }
-    }
-    for (const Edge& e : req.deletes) {
-      if (present_.count(e) == 0) {
-        return MakeError(RequestOp::kIngest, "", "invalid_mutation",
-                         "delete of absent edge [" +
-                             std::to_string(e.src) + "," +
-                             std::to_string(e.dst) + "]");
-      }
-    }
-    for (const Edge& e : req.inserts) {
-      present_.insert(e);
       batch.ops.push_back({e, Multiplicity{1}});
     }
     for (const Edge& e : req.deletes) {
-      present_.erase(e);
       batch.ops.push_back({e, Multiplicity{-1}});
+    }
+    if (Status s = live_.Apply(batch.ops, &batch.symmetric_ops); !s.ok()) {
+      return MakeError(RequestOp::kIngest, "",
+                       s.code() == StatusCode::kOutOfRange
+                           ? "out_of_range"
+                           : "invalid_mutation",
+                       s.message());
     }
     batch.seq = next_seq_++;
     batch.trace_id = MakeTraceId(batch.seq);
@@ -488,15 +462,9 @@ void Service::ApplyOneBatch(PendingBatch batch) {
     symmetric_.reset();  // its last view is gone
   }
   if (symmetric_ != nullptr) {
-    std::vector<EdgeDelta> mirrored;
-    mirrored.reserve(batch.ops.size() * 2);
-    for (const EdgeDelta& d : batch.ops) {
-      mirrored.push_back(d);
-      mirrored.push_back({{d.edge.dst, d.edge.src}, d.mult});
-    }
     // On failure the symmetric views fail their own chain check below
     // and are dropped.
-    Status s = symmetric_->ApplyMutations(mirrored).status();
+    Status s = symmetric_->ApplyMutations(batch.symmetric_ops).status();
     if (!s.ok()) {
       ITG_LOG(Error) << "serve: symmetric ApplyMutations failed: "
                      << s.ToString();

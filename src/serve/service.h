@@ -36,7 +36,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -151,6 +150,8 @@ class Service {
   // time — asserted by tests.
   struct PendingBatch {
     std::vector<EdgeDelta> ops;
+    /// The batch of the symmetric companion (LiveEdgeSet::Apply).
+    std::vector<EdgeDelta> symmetric_ops;
     uint64_t seq = 0;
     /// Pipeline trace id (MakeTraceId(seq)); echoed in the ingest ack,
     /// every delta message, and the serve.batch flow events.
@@ -202,10 +203,9 @@ class Service {
   };
   std::map<std::string, std::vector<Subscriber>> subscribers_;
   int next_sub_id_ = 1;
-  /// Live edge set mirror for ingest validation (the store's degree
-  /// bookkeeping requires inserts of absent and deletes of present
-  /// edges); includes batches still in the queue.
-  std::unordered_set<Edge, EdgeHash> present_;
+  /// The graph of record's live edge set for ingest validation;
+  /// includes batches still in the queue.
+  LiveEdgeSet live_;
   bool draining_ = false;
 
   /// Guards the ingest queue. Timed (contention.serve.ingest_queue.*):

@@ -229,4 +229,80 @@ Status DynamicGraphStore::MaterializeEdges(BufferPool* pool, Timestamp t,
   return Status::OK();
 }
 
+LiveEdgeSet::LiveEdgeSet(VertexId num_vertices,
+                         const std::vector<Edge>& edges)
+    : num_vertices_(num_vertices) {
+  for (const Edge& e : edges) {
+    if (e.src != e.dst) edges_.insert(e);
+  }
+}
+
+Status LiveEdgeSet::Apply(const std::vector<EdgeDelta>& batch,
+                          std::vector<EdgeDelta>* symmetric) {
+  auto name = [](const EdgeDelta& d) {
+    return std::string(d.mult > 0 ? "'+ " : "'- ") +
+           std::to_string(d.edge.src) + " " + std::to_string(d.edge.dst) +
+           "'";
+  };
+  auto present = [&](VertexId u, VertexId v) {
+    return edges_.count(Edge{u, v}) != 0;
+  };
+  std::unordered_set<Edge, EdgeHash> seen;
+  for (const EdgeDelta& d : batch) {
+    const Edge& e = d.edge;
+    if (e.src < 0 || e.dst < 0 || e.src >= num_vertices_ ||
+        e.dst >= num_vertices_) {
+      return Status::OutOfRange("op " + name(d) + " outside vertex space of " +
+                                std::to_string(num_vertices_));
+    }
+    if (e.src == e.dst) {
+      return Status::InvalidArgument("op " + name(d) + " is a self-loop");
+    }
+    if (!seen.insert(e).second) {
+      return Status::InvalidArgument("op " + name(d) +
+                                     " repeats an edge of its batch");
+    }
+    if (d.mult > 0 && present(e.src, e.dst)) {
+      return Status::InvalidArgument("op " + name(d) +
+                                     " inserts a present edge");
+    }
+    if (d.mult < 0 && !present(e.src, e.dst)) {
+      return Status::InvalidArgument("op " + name(d) +
+                                     " deletes an absent edge");
+    }
+  }
+  // Undirected presence of every pair the batch touches, before it.
+  std::unordered_map<Edge, bool, EdgeHash> pair_before;
+  auto pair_of = [](const Edge& e) {
+    return Edge{std::min(e.src, e.dst), std::max(e.src, e.dst)};
+  };
+  for (const EdgeDelta& d : batch) {
+    pair_before.emplace(pair_of(d.edge),
+                        present(d.edge.src, d.edge.dst) ||
+                            present(d.edge.dst, d.edge.src));
+  }
+  for (const EdgeDelta& d : batch) {
+    if (d.mult > 0) {
+      edges_.insert(d.edge);
+    } else {
+      edges_.erase(d.edge);
+    }
+  }
+  if (symmetric == nullptr) return Status::OK();
+  symmetric->clear();
+  for (const EdgeDelta& d : batch) {
+    auto it = pair_before.find(pair_of(d.edge));
+    if (it == pair_before.end()) continue;  // pair already emitted
+    const bool after = present(d.edge.src, d.edge.dst) ||
+                       present(d.edge.dst, d.edge.src);
+    if (after != it->second) {
+      const Multiplicity m = after ? 1 : -1;
+      symmetric->push_back({d.edge, m});
+      symmetric->push_back({{d.edge.dst, d.edge.src}, m});
+    }
+    pair_before.erase(it);
+  }
+  return Status::OK();
+}
+
 }  // namespace itg

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
@@ -144,6 +145,34 @@ class DynamicGraphStore {
   // The latest snapshot's batch: replayed onto the evicted view when the
   // next snapshot is built.
   std::vector<EdgeDelta> last_batch_;
+};
+
+/// The live edge set of a graph of record, and the one check a mutation
+/// batch passes before it reaches a DynamicGraphStore: the store's degree
+/// and edge-count bookkeeping assumes every insert targets an absent edge
+/// and every delete a present one, each edge at most once per batch.
+class LiveEdgeSet {
+ public:
+  LiveEdgeSet() = default;
+  /// Self-loops and duplicates in `edges` are dropped, as the store does.
+  LiveEdgeSet(VertexId num_vertices, const std::vector<Edge>& edges);
+
+  /// Checks `batch`: every vertex inside [0, num_vertices), no self-loop,
+  /// no insert of a present edge, no delete of an absent one, no edge
+  /// twice. On success applies the batch to the set and, when `symmetric`
+  /// is non-null, fills it with the batch of the symmetric companion (the
+  /// same graph with every edge mirrored): both orientations of each pair
+  /// whose undirected presence the batch changes, in batch order. On
+  /// failure the set is unchanged and the status names the first bad op —
+  /// OutOfRange for a vertex outside the space, else InvalidArgument.
+  Status Apply(const std::vector<EdgeDelta>& batch,
+               std::vector<EdgeDelta>* symmetric);
+
+  const std::unordered_set<Edge, EdgeHash>& edges() const { return edges_; }
+
+ private:
+  VertexId num_vertices_ = 0;
+  std::unordered_set<Edge, EdgeHash> edges_;
 };
 
 }  // namespace itg

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -123,11 +124,27 @@ struct AuditedPipeline {
   std::unique_ptr<DriftAuditor> auditor;
 };
 
+/// Page files of the shadow stores the auditor of `tag` made.
+std::vector<std::string> ShadowFiles(const std::string& tag) {
+  const std::string prefix = "audit_" + tag + "_scratch.shadow";
+  std::vector<std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
 AuditedPipeline MakeAudited(const std::string& tag, int every,
                             Timestamp corrupt_t, VertexId corrupt_vertex,
                             double corrupt_delta) {
   const std::vector<Edge> ring = {{0, 1}, {1, 2}, {2, 3}, {3, 4},
                                   {4, 5}, {5, 6}, {6, 7}, {7, 0}};
+  for (const std::string& file : ShadowFiles(tag)) {
+    std::filesystem::remove(std::filesystem::path(::testing::TempDir()) /
+                            file);
+  }
   AuditedPipeline p;
   auto compiled = CompileProgram(WccProgram());
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
@@ -188,6 +205,8 @@ TEST(DriftAuditorTest, CleanRunVerifiesOnCadence) {
   for (size_t i = 0; i < s.digests.size(); ++i) {
     EXPECT_EQ(s.digests[i].first, static_cast<Timestamp>(i));
   }
+  // Each audit's shadow store took its page file with it.
+  EXPECT_TRUE(ShadowFiles("clean").empty());
 }
 
 TEST(DriftAuditorTest, ZeroCadenceNeverAudits) {
@@ -225,6 +244,9 @@ TEST(DriftAuditorTest, DetectsAndBisectsInjectedCorruption) {
   EXPECT_TRUE(std::find(d.vertices.begin(), d.vertices.end(), 2) !=
               d.vertices.end())
       << "corrupted vertex 2 missing from divergent sample";
+  // Neither the audits' shadows nor the bisection's replay store leave
+  // a page file behind.
+  EXPECT_TRUE(ShadowFiles("drift").empty());
 }
 
 }  // namespace

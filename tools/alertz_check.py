@@ -32,57 +32,23 @@ first failed expectation (the alert_smoke ctest gates on it).
 """
 
 import argparse
-import http.client
 import json
 import os
 import sys
 import time
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import smoke_util  # noqa: E402
+from smoke_util import expect, fail, get, wait_for_port  # noqa: E402
+
+smoke_util.set_name("alertz_check")
+
 VALID_SEVERITIES = ("info", "warn", "critical")
 VALID_STATES = ("inactive", "pending", "firing", "resolved")
 
 
-def fail(msg):
-    print(f"alertz_check: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def expect(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def get(port, path, deadline, timeout=5.0):
-    while True:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-        try:
-            conn.request("GET", path)
-            resp = conn.getresponse()
-            body = resp.read().decode("utf-8", errors="replace")
-            return resp.status, body
-        except (ConnectionError, OSError) as e:
-            if time.monotonic() >= deadline:
-                fail(f"GET {path} failed with {e!r} past the deadline")
-            time.sleep(0.05)
-        finally:
-            conn.close()
-
-
-def read_port(port_file, deadline):
-    while time.monotonic() < deadline:
-        try:
-            with open(port_file, "r", encoding="utf-8") as f:
-                text = f.read().strip()
-            if text:
-                return int(text)
-        except (OSError, ValueError):
-            pass
-        time.sleep(0.02)
-    fail(f"timed out waiting for port file {port_file}")
-
-
 def fetch_alertz(port, deadline):
-    status, body = get(port, "/alertz", deadline)
+    status, _, body = get(port, "/alertz", deadline)
     expect(status == 200, f"/alertz returned {status}: {body}")
     try:
         doc = json.loads(body)
@@ -135,7 +101,7 @@ def wait_for_state(port, name, states, deadline, what):
 
 
 def check_text_rendering(port, doc, deadline):
-    status, text = get(port, "/alertz?format=text", deadline)
+    status, _, text = get(port, "/alertz?format=text", deadline)
     expect(status == 200, f"/alertz?format=text returned {status}")
     for row in doc["alerts"]:
         expect(row["name"] in text,
@@ -144,7 +110,7 @@ def check_text_rendering(port, doc, deadline):
 
 def check_firing_surfaces(port, row, deadline):
     """After a rule fires, the other surfaces must agree with /alertz."""
-    status, metrics = get(port, "/metrics", deadline)
+    status, _, metrics = get(port, "/metrics", deadline)
     expect(status == 200, f"/metrics returned {status}")
     needle = f'ALERTS{{alertname="{row["name"]}"'
     expect(needle in metrics,
@@ -152,7 +118,7 @@ def check_firing_surfaces(port, row, deadline):
     expect("itg_alerts_fired_total" in metrics,
            "alerts.fired_total counter missing from /metrics after a fire")
     if row["severity"] == "critical":
-        status, body = get(port, "/healthz", deadline)
+        status, _, body = get(port, "/healthz", deadline)
         expect(status == 503,
                f"/healthz returned {status} with a critical alert firing")
         doc = json.loads(body)
@@ -202,7 +168,7 @@ def main():
     args = parser.parse_args()
 
     deadline = time.monotonic() + args.timeout
-    port = read_port(args.port_file, deadline)
+    port = wait_for_port(args.port_file, deadline)
 
     doc = fetch_alertz(port, deadline)
     check_text_rendering(port, doc, deadline)

@@ -26,15 +26,11 @@ import os
 import subprocess
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import smoke_util  # noqa: E402
+from smoke_util import expect, fail  # noqa: E402
 
-def fail(msg):
-    print(f"audit_check: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def expect(cond, msg):
-    if not cond:
-        fail(msg)
+smoke_util.set_name("audit_check")
 
 
 def run_driver(binary, workdir, report, extra):

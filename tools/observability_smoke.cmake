@@ -9,7 +9,7 @@
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 file(WRITE ${WORK_DIR}/mutations.txt
-     "+ 1 2\n+ 2 3\n+ 3 1\n- 1 2\ncommit\n+ 4 5\n+ 5 6\ncommit\n")
+     "+ 1 5\n+ 5 9\n+ 2 6\n- 0 1\ncommit\n+ 4 7\n+ 6 7\ncommit\n")
 
 execute_process(
   COMMAND ${LNGA_RUN} --program pr --graph rmat:8 --supersteps 3

@@ -9,7 +9,8 @@ Version history:
   1  base report (runs / results / metrics / buffer_pool)
   2  per-run "operators" and "supersteps_profile" profile sections
   3  per-machine barrier_wait_nanos, top-level "memory" section
-  4  state digests (per run and per superstep row), "audit" section
+  4  state digests (per run; per superstep row until that always-zero
+     key was dropped), "audit" section
   5  "serving" section (standing-query daemon: per-query rows with
      delta-latency histograms, ingest/backpressure counters)
   6  pipeline observability: serving gains per-stage "stage_latency_us"

@@ -62,24 +62,16 @@ import struct
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import histogram_math as hm  # noqa: E402
+import smoke_util  # noqa: E402
 from report_schema import MAX_SCHEMA  # noqa: E402
+from smoke_util import expect, fail, get, wait_for_port  # noqa: E402
+
+smoke_util.set_name("serve_client")
 
 MASK = (1 << 64) - 1
-
-
-def fail(msg):
-    print(f"serve_client: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def expect(cond, msg):
-    if not cond:
-        fail(msg)
 
 
 # --------------------------------------------------------------- digests ----
@@ -286,22 +278,6 @@ def write_mutations(path, batches):
 
 # ---------------------------------------------------------------- pieces ----
 
-def wait_for_port(portfile, proc, deadline):
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            out = proc.stdout.read().decode("utf-8", errors="replace")
-            fail(f"daemon exited early (rc {proc.returncode}):\n{out}")
-        try:
-            with open(portfile, "r", encoding="utf-8") as f:
-                text = f.read().strip()
-            if text:
-                return int(text)
-        except (OSError, ValueError):
-            pass
-        time.sleep(0.02)
-    fail(f"timed out waiting for portfile {portfile}")
-
-
 def batch_digest(lnga_binary, workdir, program, graph, mutations, deadline,
                  env):
     """Final state_digest of the batch pipeline over the same stream."""
@@ -417,23 +393,12 @@ def check_sigint_watch(lnga_binary, workdir, deadline, env):
 
 # ---------------------------------------------------------- latency mode ----
 
-def scrape(url, deadline):
-    """GET `url`, retrying transient connect failures until `deadline`
-    (telemetry_client.py's idiom): the telemetry listener can lag the
-    portfile write by a beat, and a scrape racing it must not flake."""
-    while True:
-        try:
-            req = urllib.request.Request(url)
-            with urllib.request.urlopen(
-                    req,
-                    timeout=max(0.5, deadline - time.monotonic())) as resp:
-                return resp.read().decode("utf-8", errors="replace")
-        except urllib.error.HTTPError as e:
-            fail(f"scrape {url}: HTTP {e.code}")
-        except (urllib.error.URLError, ConnectionError, OSError) as e:
-            if time.monotonic() >= deadline:
-                fail(f"scrape {url} failed past deadline: {e}")
-            time.sleep(0.05)
+def scrape(port, path, deadline):
+    """Body of a 200 GET of `path` on the telemetry listener, which can lag
+    the portfile write by a beat (smoke_util.get retries until then)."""
+    status, _, body = get(port, path, deadline)
+    expect(status == 200, f"scrape {path}: HTTP {status}")
+    return body
 
 
 def parse_prometheus(text):
@@ -488,8 +453,8 @@ def run_latency_mode(args):
                             stderr=subprocess.STDOUT, env=env)
     conns = []
     try:
-        port = wait_for_port(portfile, proc, deadline)
-        tport = wait_for_port(tportfile, proc, deadline)
+        port = wait_for_port(portfile, deadline, proc)
+        tport = wait_for_port(tportfile, deadline, proc)
         print(f"serve_client: daemon up on 127.0.0.1:{port}, telemetry "
               f"on 127.0.0.1:{tport}")
 
@@ -531,7 +496,7 @@ def run_latency_mode(args):
         # stage histograms must have one sample per batch and the view
         # must report zero lag.
         metrics = parse_prometheus(
-            scrape(f"http://127.0.0.1:{tport}/metrics", deadline))
+            scrape(tport, "/metrics", deadline))
         for stage in ("validate", "queue_wait", "apply"):
             key = f"itg_serve_stage_latency_us_{stage}_count"
             expect(metrics.get(key) == n,
@@ -552,7 +517,7 @@ def run_latency_mode(args):
         print("serve_client: /metrics stage histograms + lag gauges OK")
 
         statusz = json.loads(
-            scrape(f"http://127.0.0.1:{tport}/statusz", deadline))
+            scrape(tport, "/statusz", deadline))
         serving = statusz.get("serving")
         expect(isinstance(serving, dict), "/statusz has no serving member")
         pipeline = serving.get("pipeline")
@@ -671,7 +636,7 @@ def main():
                             stderr=subprocess.STDOUT, env=env)
     conns = []
     try:
-        port = wait_for_port(portfile, proc, deadline)
+        port = wait_for_port(portfile, deadline, proc)
         print(f"serve_client: daemon up on 127.0.0.1:{port}")
 
         # Two standing queries on two connections, both subscribed with

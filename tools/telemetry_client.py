@@ -27,64 +27,17 @@ diagnostic on the first failed expectation.
 """
 
 import argparse
-import http.client
 import json
 import os
 import subprocess
 import sys
 import time
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import smoke_util  # noqa: E402
+from smoke_util import expect, fail, get, wait_for_port  # noqa: E402
 
-def fail(msg):
-    print(f"telemetry_client: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def expect(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def get(port, path, timeout=5.0, deadline=None):
-    """GET http://127.0.0.1:<port><path> -> (status, content_type, body).
-
-    With a `deadline` (monotonic seconds), transient transport errors —
-    connection refused/reset while the single-threaded server is busy
-    with another client, or a socket timeout — are retried until the
-    deadline instead of flaking the whole smoke test. Without one, the
-    first failure is fatal.
-    """
-    while True:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-        try:
-            conn.request("GET", path)
-            resp = conn.getresponse()
-            body = resp.read().decode("utf-8", errors="replace")
-            return resp.status, resp.getheader("Content-Type", ""), body
-        except (ConnectionError, OSError) as e:
-            if deadline is None or time.monotonic() >= deadline:
-                fail(f"GET {path} failed with {e!r} "
-                     f"{'past the deadline' if deadline else '(no retry)'}")
-            time.sleep(0.05)
-        finally:
-            conn.close()
-
-
-def wait_for_port(portfile, proc, deadline):
-    """Polls the portfile the server writes its ephemeral port into."""
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            fail(f"driver exited early (rc {proc.returncode}) before "
-                 f"writing {portfile}")
-        try:
-            with open(portfile, "r", encoding="utf-8") as f:
-                text = f.read().strip()
-            if text:
-                return int(text)
-        except (OSError, ValueError):
-            pass
-        time.sleep(0.02)
-    fail(f"timed out waiting for portfile {portfile}")
+smoke_util.set_name("telemetry_client")
 
 
 # ------------------------------------------------------------- /metrics ----
@@ -126,7 +79,7 @@ def parse_prometheus(body):
 
 
 def check_metrics(port, deadline):
-    status, ctype, body = get(port, "/metrics", deadline=deadline)
+    status, ctype, body = get(port, "/metrics", deadline)
     expect(status == 200, f"/metrics returned {status}")
     expect("version=0.0.4" in ctype,
            f"/metrics Content-Type missing exposition version: {ctype!r}")
@@ -168,7 +121,7 @@ def check_statusz(port, want_partitions, deadline):
     """Polls until the engine has published per-partition telemetry."""
     doc = None
     while time.monotonic() < deadline:
-        status, ctype, body = get(port, "/statusz", deadline=deadline)
+        status, ctype, body = get(port, "/statusz", deadline)
         expect(status == 200, f"/statusz returned {status}")
         expect("application/json" in ctype,
                f"/statusz Content-Type {ctype!r}")
@@ -212,7 +165,7 @@ def check_statusz(port, want_partitions, deadline):
 def wait_for_stall(port, deadline):
     """Polls /healthz until the injected stall trips the watchdog."""
     while time.monotonic() < deadline:
-        status, _, body = get(port, "/healthz", deadline=deadline)
+        status, _, body = get(port, "/healthz", deadline)
         if status == 503:
             doc = json.loads(body)
             expect(doc.get("status") == "stalled",
@@ -238,7 +191,7 @@ def wait_for_recovery(port, deadline):
     """The watchdog is not sticky: /healthz goes back to 200 between
     stalled supersteps."""
     while time.monotonic() < deadline:
-        status, _, _ = get(port, "/healthz", deadline=deadline)
+        status, _, _ = get(port, "/healthz", deadline)
         if status == 200:
             return
         time.sleep(0.05)
@@ -280,7 +233,7 @@ def main():
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT)
     try:
-        port = wait_for_port(portfile, proc, deadline)
+        port = wait_for_port(portfile, deadline, proc)
         print(f"telemetry_client: server up on 127.0.0.1:{port}")
 
         # The injected stall (superstep 0 of every run) gives the watchdog
@@ -311,9 +264,9 @@ def main():
               f"{len(histos)} histograms, {len(mem_series)} memory gauges, "
               f"{len(part_series)} partition gauges")
 
-        status, _, _ = get(port, "/no-such-endpoint", deadline=deadline)
+        status, _, _ = get(port, "/no-such-endpoint", deadline)
         expect(status == 404, f"unknown path returned {status}, want 404")
-        status, _, body = get(port, "/", deadline=deadline)
+        status, _, body = get(port, "/", deadline)
         expect(status == 200 and "/metrics" in body,
                "index page missing endpoint listing")
         print("telemetry_client: routing OK (404 + index)")
